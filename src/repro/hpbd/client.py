@@ -157,6 +157,12 @@ class _Inflight:
     #: servers that failed an attempt of this segment (legacy no-timeout
     #: runs have no dead-set to exclude repeat offenders by)
     failed_servers: set = field(default_factory=set)
+    #: an open redundant write whose first attempts are not posted yet
+    #: (row gate, pool, copy-in, encode)
+    unposted: bool = False
+    #: catch-up copies requested while unposted; they go out with the
+    #: first attempts, counted in the same ``copies_left``
+    catchup_targets: list = field(default_factory=list)
 
 
 @dataclass
@@ -567,6 +573,7 @@ class HPBDClient:
             # unapplied somewhere until the last ack, so repair's
             # notify_* hooks post catch-up copies against it.
             entry.shard_idx = self.redundancy.shard_index(seg.server)
+            entry.unposted = True
             self._open_writes.add(entry)
         if (
             self.redundancy is not None
@@ -626,6 +633,13 @@ class HPBDClient:
                     t_enc, sim.now,
                     req_id=req.req_id, nbytes=seg.nbytes,
                 )
+        if entry.unposted:
+            # Members repaired since the targets were picked get their
+            # catch-up copy now, counted with the rest: posted on its
+            # own, it would read the buffer before the copy-in and
+            # its ack would outlive the release.
+            entry.unposted = False
+            targets += [t for t in entry.catchup_targets if t not in targets]
         # Synchronous mirroring: the same buffer is RDMA-read by both
         # servers; the segment completes only when both acknowledge.
         entry.copies_left = len(targets)
@@ -1006,7 +1020,9 @@ class HPBDClient:
             return  # a tied attempt already won while this one queued
         blk_req_id = entry.pending.req.req_id
         t_credit = sim.now
-        yield self._credits[server].acquire()
+        credits = self._credits[server]
+        if not credits.acquire_inline():
+            yield credits.acquire()
         if trace.enabled and sim.now > t_credit:
             trace.complete(
                 self.name, "sender", "credit_wait", "hpbd.credit",
@@ -1015,11 +1031,11 @@ class HPBDClient:
             )
         if entry.completed:
             # Lost the tie while waiting for a credit.
-            self._credits[server].release()
+            credits.release()
             return
         if server in self._dead:
             # Lost a race: the target died while we waited for a credit.
-            self._credits[server].release()
+            credits.release()
             if entry.op == READ and entry.live_rids and not entry.degraded:
                 return  # a tied attempt on the other copy carries the read
             self._reroute(entry, server)
@@ -1179,6 +1195,7 @@ class HPBDClient:
                 self._observe_rtt(att.server, sim.now - att.sent_at)
                 entry.acked += 1
                 entry.copies_left -= 1
+                self._check_copies(entry)
                 if (
                     entry.degraded
                     and self.redundancy is not None
@@ -1225,6 +1242,17 @@ class HPBDClient:
                         nbytes=entry.seg.nbytes, server=att.server,
                     )
                 yield from self._finish_segment(entry)
+
+    def _check_copies(self, entry: _Inflight) -> None:
+        """Invariant: every ack or dropped copy matches an attempt the
+        segment counted, so ``copies_left`` never goes negative."""
+        if entry.copies_left < 0:
+            self.sim.monitors.violation(
+                "hpbd.copies_negative", self.name,
+                "more acknowledgements than counted copies",
+                req_id=entry.pending.req.req_id,
+                copies_left=entry.copies_left,
+            )
 
     def _cancel_losers(self, entry: _Inflight, winner: _Attempt) -> None:
         """First reply of a tied read wins: reclaim the losers' credits
@@ -1530,6 +1558,7 @@ class HPBDClient:
         self._c_write_failovers.add()
         entry.copies_left -= 1
         entry.need_acks -= 1
+        self._check_copies(entry)
         if entry.copies_left > 0:
             return
         if entry.acked == 0:
@@ -1851,6 +1880,10 @@ class HPBDClient:
                 if j > pol.m:
                     continue
                 off = j * group.share_bytes + entry.seg.server_offset
+            if entry.unposted:
+                if (target, off) not in entry.catchup_targets:
+                    entry.catchup_targets.append((target, off))
+                continue
             entry.copies_left += 1
             entry.need_acks += 1
             self.sim.spawn(

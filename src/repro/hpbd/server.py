@@ -391,7 +391,8 @@ class HPBDServer:
                     req.blk_req_id,
                 )
                 return
-            yield self._rdma_slots.acquire()
+            if not self._rdma_slots.acquire_inline():
+                yield self._rdma_slots.acquire()
             try:
                 if self.slow_extra_usec > 0.0:
                     # Injected fail-slow stall: burned while holding the

@@ -33,12 +33,14 @@ class CPUSet:
             raise ValueError(f"negative CPU cost {cost}")
         if cost == 0:
             return
-        yield self._res.acquire()
+        res = self._res
+        if not res.acquire_inline():
+            yield res.acquire()
         try:
             yield self.sim.timeout(cost)
             self.busy_usec += cost
         finally:
-            self._res.release()
+            res.release()
 
     @property
     def in_use(self) -> int:

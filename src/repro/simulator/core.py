@@ -42,6 +42,16 @@ so they cannot change the firing order:
   flag; the drain loop discards tombstoned entries when they surface, so
   cancelling a retransmit guard is O(1) and never touches the structure.
 
+Two exactness rules skip events nobody could tell apart, so
+``events_processed`` counts posted events only:
+
+* **inline grants**: a process the drain loop resumes as sole owner may
+  take a free resource unit without posting its grant event when that
+  event would fire next anyway (:meth:`Simulator._grant_is_next`);
+* **unobserved exits**: a process that finishes with no waiter and no
+  outside reference is marked processed without posting its exit event
+  (:meth:`Simulator._exit_is_unobserved`).
+
 Allocation notes carried over from PR 2: callbacks are plain lists,
 events use ``__slots__``, and the loop keeps free lists of ``Timeout``
 and plain ``Event`` objects, recycling an event after its callbacks have
@@ -452,6 +462,11 @@ class Simulator:
         self.now: float = 0.0
         self.strict = strict
         self.active_process: Process | None = None
+        #: the process the drain loop is resuming as sole owner of a
+        #: callback-free event that is not the ``run(until=...)`` target
+        #: (None otherwise) — the context of an inline grant, see
+        #: :meth:`_grant_is_next`.
+        self._grantee: Process | None = None
         self._seq = 0
         self._event_count = 0
         #: the solo slot: the single pending entry when the rest of the
@@ -720,6 +735,52 @@ class Simulator:
                 best = entry[0]
         return best
 
+    # -- exact elision ------------------------------------------------------
+
+    def _grant_is_next(self) -> bool:
+        """May the active process take a free resource unit inline?
+
+        True when the drain loop is resuming the active process as the
+        sole owner of a callback-free event that is not the ``until``
+        target, and no queued entry is due at or before ``now``.  A grant
+        event posted now would then be the very next entry to fire, and
+        firing it would resume this same process and nothing else, so
+        the caller may take the unit and keep running — after bumping
+        ``_seq`` once, as posting would, so every later key is
+        unchanged (see the ``acquire_inline`` methods in resources.py).
+        Otherwise the grant must be posted.
+        """
+        proc = self._grantee
+        if proc is None or proc is not self.active_process:
+            return False
+        now = self.now
+        solo = self._solo
+        if solo is not None and solo[0] <= now:
+            return False
+        if self._nstruct:
+            # Heap mode keeps every entry in _heap; wheel mode keeps the
+            # earliest ones in _cur and the rest at or after _cur_end.
+            head = self._cur or self._heap
+            if head:
+                return head[0][0] > now
+            return self._cur_end > now
+        return True
+
+    def _exit_is_unobserved(self, proc: Process) -> bool:
+        """May a process that just finished skip posting its exit event?
+
+        True when nothing waits on ``proc`` and nothing outside the drain
+        loop holds it, so no one can ever wait on it: firing its exit
+        event would run nothing.  The drain loop's local, this call's
+        parameter and getrefcount's argument are the three references a
+        process nobody else holds has at this check.
+        """
+        return (
+            proc.owner is None
+            and not proc.callbacks
+            and _getrefcount(proc) == 3
+        )
+
     def _pop_next(self) -> "tuple[float, int, Event] | None":
         solo = self._solo
         if solo is not None:
@@ -889,6 +950,8 @@ class Simulator:
                     gen = owner._gen
                     prev = self.active_process
                     self.active_process = owner
+                    if not callbacks and event is not until:
+                        self._grantee = owner
                     try:
                         if event._ok:
                             target = gen.send(event._value)
@@ -937,9 +1000,24 @@ class Simulator:
                             spare = None
                     except BaseException as exc:
                         self.active_process = prev
-                        owner._terminate(exc)
+                        self._grantee = None
+                        if (
+                            exc.__class__ is StopIteration
+                            and self._exit_is_unobserved(owner)
+                        ):
+                            # Unobserved exit: nobody can ever wait on
+                            # the process, so its exit event would fire
+                            # for no one.  Mark it processed in place;
+                            # the seq bump keeps later keys identical.
+                            owner._ok = True
+                            owner._value = exc.value
+                            owner.callbacks = None
+                            self._seq += 1
+                        else:
+                            owner._terminate(exc)
                     else:
                         self.active_process = prev
+                        self._grantee = None
                         if target.__class__ is Timeout:
                             tcb = target.callbacks
                             if (

@@ -4,7 +4,14 @@ Everything here is FIFO and deterministic.  The primitives map directly
 onto kernel objects in the modelled system:
 
 * :class:`Resource` — counted resource (CPU, DMA engines, outstanding-RDMA
-  slots).  ``yield res.acquire()`` / ``res.release()``.
+  slots).  ``yield res.acquire()`` / ``res.release()``; hot paths take a
+  free unit with the inline grant first, so no grant event is posted
+  when that cannot change the firing order::
+
+      if not res.acquire_inline():
+          yield res.acquire()
+      ...
+      res.release()
 * :class:`Mutex` — a Resource of capacity 1; models spinlocks guarding the
   HPBD request queue and buffer pool.
 * :class:`Store` — an unbounded FIFO queue of items with blocking ``get``;
@@ -12,7 +19,7 @@ onto kernel objects in the modelled system:
 * :class:`WaitQueue` — condition-variable-style sleep/wakeup; models the
   buffer-pool allocation wait queue and kswapd wakeups.
 * :class:`TokenBucket` — counted credits with blocking acquire of N;
-  models the HPBD water-mark flow control.
+  models the HPBD water-mark flow control.  Same idioms as Resource.
 """
 
 from __future__ import annotations
@@ -88,6 +95,24 @@ class Resource:
         else:
             self._waiters.append((evt, units))
         return evt
+
+    def acquire_inline(self, units: int = 1) -> bool:
+        """Take ``units`` without an event when that is exact; True if so.
+
+        The inline grant: succeeds only when the units are free, nobody
+        is queued, and :meth:`Simulator._grant_is_next` holds, so the
+        caller keeps running exactly as it would after
+        ``yield acquire(units)``.  On False the caller yields
+        :meth:`acquire`::
+
+            if not res.acquire_inline():
+                yield res.acquire()
+        """
+        sim = self.sim
+        if sim._grant_is_next() and self.try_acquire(units):
+            sim._seq += 1  # the key the posted grant would have taken
+            return True
+        return False
 
     def try_acquire(self, units: int = 1) -> bool:
         """Non-blocking acquire; True on success."""
@@ -316,6 +341,20 @@ class TokenBucket:
             self.stall_count += 1
             self._waiters.append((evt, n))
         return evt
+
+    def acquire_inline(self, n: int = 1) -> bool:
+        """Take ``n`` credits without an event when that is exact; True if
+        so.  The same inline grant as :meth:`Resource.acquire_inline`."""
+        sim = self.sim
+        if (
+            not self._waiters
+            and 1 <= n <= self._tokens
+            and sim._grant_is_next()
+        ):
+            self._tokens -= n
+            sim._seq += 1  # the key the posted grant would have taken
+            return True
+        return False
 
     def release(self, n: int = 1) -> None:
         self._tokens += n

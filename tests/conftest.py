@@ -61,6 +61,16 @@ def node(sim: Simulator, fabric: Fabric) -> Node:
     return Node(sim, fabric, "n0", mem_bytes=16 * MiB)
 
 
+def posted_only(monkeypatch) -> None:
+    """Switch off the simulator's two exact-elision rules (inline
+    grants, unobserved exits): every resource grant and every process
+    exit is posted as an event."""
+    monkeypatch.setattr(Simulator, "_grant_is_next", lambda self: False)
+    monkeypatch.setattr(
+        Simulator, "_exit_is_unobserved", lambda self, proc: False
+    )
+
+
 def run_proc(sim: Simulator, gen):
     """Spawn a generator and run the simulation until it finishes."""
     proc = sim.spawn(gen)

@@ -20,6 +20,8 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster import run_cluster_scenario
@@ -31,6 +33,7 @@ from repro.faults import FaultPlan, ServerCrash
 from repro.hpbd import HPBDClient, HPBDServer
 from repro.kernel import Node
 from repro.kernel.blockdev import Bio, READ, WRITE
+from repro.obs.campaign import reseed_config
 from repro.net import Fabric
 from repro.redundancy import RepairManager
 from repro.redundancy.policy import (
@@ -261,6 +264,66 @@ def test_spare_rebuild_replaces_member(harness):
     before = h.servers[3].ramdisk.pages_stored
     h.io(WRITE, 1030 * 8)
     assert h.servers[3].ramdisk.pages_stored == before + 1
+
+
+def test_catch_up_before_first_post_is_counted():
+    """A member repaired after a write picked its targets (member dead:
+    parity-only) but before the write posted them gets its catch-up
+    copy with the first attempts, under the same ack count — posted on
+    its own, its ack outlived the buffer release and freed it twice."""
+    h = Harness()
+    sim = h.sim
+    client = h.client
+    client.notify_server_down(0)
+    done = Event(sim)
+
+    def writer(sim):
+        client.queue.submit_bio(Bio(op=WRITE, sector=0, nsectors=8, done=done))
+        client.queue.unplug()
+        yield done
+
+    proc = sim.spawn(writer(sim))
+    # Step to the copy-in: targets picked, buffer allocated, not posted.
+    while not any(e.unposted and e.buf is not None for e in client._open_writes):
+        sim.step()
+    (entry,) = client._open_writes
+    before = h.servers[0].ramdisk.peek(0, PAGE_SIZE)
+    client.notify_repaired(0)
+    assert entry.catchup_targets == [(0, 0)]
+    sim.run(until=proc)
+    h.wait(5000)
+    assert entry.completed and entry.copies_left == 0
+    assert entry.acked == 2  # the data shard's catch-up and the parity
+    assert h.servers[0].ramdisk.peek(0, PAGE_SIZE) != before
+    assert sim.monitors.violations == []
+    assert client.pool.allocated_bytes == 0
+
+
+def test_check_copies_flags_negative_count():
+    h = Harness()
+    client = h.client
+    entry = SimpleNamespace(
+        copies_left=-1, pending=SimpleNamespace(req=SimpleNamespace(req_id=7))
+    )
+    client._check_copies(entry)
+    (v,) = h.sim.monitors.violations
+    assert v.monitor == "hpbd.copies_negative"
+    assert v.details["copies_left"] == -1
+
+
+@pytest.mark.parametrize(
+    "crashes, seed",
+    [(None, 60), (((90_000.0, 2),), 2)],
+    ids=["default-crash-seed60", "mem2-at-90ms-seed2"],
+)
+def test_redundancy_crash_seeds_free_each_buffer_once(crashes, seed):
+    """Seeds whose crash repair raced a write's first post used to
+    raise PoolError (free of unallocated offset) in the HPBD client."""
+    kwargs = {} if crashes is None else {"crashes": crashes}
+    cfg = reseed_config(cluster_redundancy_config(**kwargs), seed)
+    result = run_config(cfg)
+    assert result.invariant_violations == []
+    assert result.redundancy["repair"]["pending"] == 0
 
 
 # -- cluster acceptance ----------------------------------------------------

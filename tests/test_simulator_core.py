@@ -17,6 +17,7 @@ from repro.simulator import (
     Timeout,
     URGENT,
 )
+from tests.conftest import posted_only
 
 
 class TestEvent:
@@ -434,3 +435,60 @@ class TestEventPooling:
         assert sim.run(until=p) == "woken"
         # the interrupt's internal event went back to the free list
         assert len(sim._event_pool) > 0
+
+
+class TestUnobservedExit:
+    """A finished process nobody holds is marked processed in place; one
+    someone holds or waits on still posts its exit event."""
+
+    def test_unheld_process_posts_no_exit(self, monkeypatch):
+        def run():
+            sim = Simulator()
+
+            def child(sim):
+                yield sim.timeout(1)
+
+            for _ in range(3):
+                sim.spawn(child(sim))
+            sim.run()
+            return sim._seq, sim.now, sim.events_processed
+
+        elided = run()
+        with monkeypatch.context() as m:
+            posted_only(m)
+            posted = run()
+        assert elided[:2] == posted[:2]
+        assert elided[2] == posted[2] - 3
+
+    def test_held_process_fires_exit_for_a_later_join(self, sim):
+        def child(sim):
+            yield sim.timeout(1)
+            return "result"
+
+        held = sim.spawn(child(sim))
+        before = sim.events_processed
+        sim.run(until=5.0)
+        assert held.processed and held.value == "result"
+        # init, timeout and the exit event itself
+        assert sim.events_processed - before == 3
+
+        def joiner(sim):
+            got = yield held
+            return got, sim.now
+
+        assert sim.run(until=sim.spawn(joiner(sim))) == ("result", 5.0)
+
+    def test_waited_on_process_fires_exit(self, sim):
+        log = []
+
+        def child(sim):
+            yield sim.timeout(1)
+            return 7
+
+        def parent(sim):
+            got = yield sim.spawn(child(sim))
+            log.append((got, sim.now))
+
+        sim.spawn(parent(sim))
+        sim.run()
+        assert log == [(7, 1.0)]

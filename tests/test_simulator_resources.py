@@ -8,10 +8,12 @@ from repro.simulator import (
     Mutex,
     Resource,
     SimulationError,
+    Simulator,
     Store,
     TokenBucket,
     WaitQueue,
 )
+from tests.conftest import posted_only
 
 
 class TestResource:
@@ -498,3 +500,277 @@ class TestInterruptedWaiters:
         sim.schedule_call(6.0, lambda: wq.wake_one())
         sim.run(until=p)
         assert got == ["patient"]
+
+
+def _both_ways(monkeypatch, scenario):
+    """Run ``scenario(sim, log)`` with the elision rules on, then with
+    every grant and exit posted; return ``(inline, posted)`` as
+    ``(log, final seq, final clock, events processed)``."""
+    out = []
+    for posted in (False, True):
+        with monkeypatch.context() as m:
+            if posted:
+                posted_only(m)
+            sim = Simulator()
+            log: list = []
+            scenario(sim, log)
+            out.append((log, sim._seq, sim.now, sim.events_processed))
+    return out
+
+
+def _inline_acquire(res, log, tag):
+    """``yield res.acquire()`` in the inline-grant idiom, logging which
+    path was taken."""
+    took = res.acquire_inline()
+    log.append((tag, "inline" if took else "posted", res.sim.now))
+    if not took:
+        yield res.acquire()
+
+
+class TestInlineGrant:
+    """A free unit is taken inline only when the posted grant would be
+    the very next event and would resume the same process; everywhere
+    else the grant is posted and the firing order is today's."""
+
+    def _same_order(self, monkeypatch, scenario, path):
+        """Both runs log the same order, clock and final seq, and every
+        acquire of the elision run took ``path``."""
+        inline, posted = _both_ways(monkeypatch, scenario)
+
+        def paths(log):
+            return [e[1] for e in log if e[1] in ("inline", "posted")]
+
+        def order(log):
+            return [e for e in log if e[1] not in ("inline", "posted")]
+
+        assert order(inline[0]) == order(posted[0])
+        assert inline[1:3] == posted[1:3]
+        assert set(paths(inline[0])) == {path}
+        assert set(paths(posted[0])) == {"posted"}
+        return inline, posted
+
+    def test_free_unit_is_taken_inline(self, monkeypatch):
+        def scenario(sim, log):
+            res = Resource(sim, 1)
+
+            def user(sim):
+                yield sim.timeout(1)
+                yield from _inline_acquire(res, log, "a")
+                log.append(("a-has", sim.now, sim._seq))
+                yield sim.timeout(2)
+                res.release()
+
+            sim.spawn(user(sim))
+            sim.run()
+
+        inline, posted = self._same_order(monkeypatch, scenario, "inline")
+        # Neither the grant nor the exit of the unheld process is posted.
+        assert inline[3] == posted[3] - 2
+
+    def test_token_bucket_inline(self, monkeypatch):
+        def scenario(sim, log):
+            tb = TokenBucket(sim, 2)
+
+            def user(sim):
+                yield sim.timeout(1)
+                yield from _inline_acquire(tb, log, "a")
+                log.append(("a-has", tb.tokens, sim._seq))
+
+            sim.spawn(user(sim))
+            sim.run()
+
+        self._same_order(monkeypatch, scenario, "inline")
+
+    def test_other_entry_due_now_posts(self, monkeypatch):
+        def scenario(sim, log):
+            res = Resource(sim, 1)
+
+            def user(sim, name):
+                yield sim.timeout(1)
+                yield from _inline_acquire(res, log, name)
+                log.append((name, "has", sim.now))
+                yield sim.timeout(1)
+                res.release()
+
+            sim.spawn(user(sim, "a"))
+            sim.spawn(user(sim, "b"))
+            sim.run()
+
+        inline, _ = self._same_order(monkeypatch, scenario, "posted")
+        # a's grant must wait behind b's timeout at t=1; b then queues
+        # behind a for the unit.
+        assert inline[0][:3] == [
+            ("a", "posted", 1.0), ("b", "posted", 1.0), ("a", "has", 1.0),
+        ]
+
+    def test_urgent_interrupt_due_now_posts(self, monkeypatch):
+        from repro.simulator import Interrupted
+
+        def scenario(sim, log):
+            res = Resource(sim, 1)
+
+            def sleeper(sim):
+                try:
+                    yield sim.timeout(100)
+                except Interrupted:
+                    log.append(("sleeper-interrupted", sim.now))
+
+            def user(sim, victim):
+                yield sim.timeout(1)
+                victim.interrupt()
+                yield from _inline_acquire(res, log, "a")
+                log.append(("a-has", sim.now))
+                res.release()
+
+            victim = sim.spawn(sleeper(sim))
+            sim.spawn(user(sim, victim))
+            sim.run()
+
+        inline, _ = self._same_order(monkeypatch, scenario, "posted")
+        assert inline[0][1:] == [("sleeper-interrupted", 1.0), ("a-has", 1.0)]
+
+    def test_spawn_due_now_posts(self, monkeypatch):
+        def scenario(sim, log):
+            res = Resource(sim, 1)
+
+            def child(sim):
+                log.append(("child-runs", sim.now))
+                yield sim.timeout(0)
+
+            def user(sim):
+                yield sim.timeout(1)
+                sim.spawn(child(sim))
+                yield from _inline_acquire(res, log, "a")
+                log.append(("a-has", sim.now))
+                res.release()
+
+            sim.spawn(user(sim))
+            sim.run()
+
+        inline, _ = self._same_order(monkeypatch, scenario, "posted")
+        assert inline[0][1:] == [("child-runs", 1.0), ("a-has", 1.0)]
+
+    def test_resuming_event_with_callbacks_posts(self, monkeypatch):
+        def scenario(sim, log):
+            res = Resource(sim, 1)
+            gate = sim.event("gate")
+
+            def user(sim):
+                yield gate
+                yield from _inline_acquire(res, log, "a")
+                log.append(("a-has", sim.now))
+                res.release()
+
+            def opener(sim):
+                yield sim.timeout(1)
+                gate.callbacks.append(lambda e: log.append(("cb", sim.now)))
+                gate.succeed()
+
+            sim.spawn(user(sim))
+            sim.spawn(opener(sim))
+            sim.run()
+
+        inline, _ = self._same_order(monkeypatch, scenario, "posted")
+        assert inline[0][1:] == [("cb", 1.0), ("a-has", 1.0)]
+
+    def test_until_target_posts(self, monkeypatch):
+        def scenario(sim, log):
+            res = Resource(sim, 1)
+            gate = sim.event("gate")
+
+            def user(sim):
+                yield gate
+                yield from _inline_acquire(res, log, "a")
+                log.append(("a-has", sim.now))
+                res.release()
+
+            sim.spawn(user(sim))
+            sim.schedule_call(1, gate.succeed)
+            sim.run(until=gate)
+            log.append(("run-returned", sim.now))
+            sim.run()
+
+        inline, _ = self._same_order(monkeypatch, scenario, "posted")
+        assert inline[0][1:] == [("run-returned", 1.0), ("a-has", 1.0)]
+
+    def test_step_posts(self, monkeypatch):
+        def scenario(sim, log):
+            res = Resource(sim, 1)
+
+            def user(sim):
+                yield sim.timeout(1)
+                yield from _inline_acquire(res, log, "a")
+                log.append(("a-has", sim.now))
+                res.release()
+
+            sim.spawn(user(sim))
+            steps = 0
+            while sim.peek() < float("inf"):
+                sim.step()
+                steps += 1
+            log.append(("steps", steps))
+
+        self._same_order(monkeypatch, scenario, "posted")
+
+    def test_callback_waiter_posts(self, monkeypatch):
+        """A process resumed through a callback — here the second waiter
+        of an event whose owner slot was interrupted away — is not the
+        drain loop's sole owner, so its grant is posted."""
+        from repro.simulator import Interrupted
+
+        def scenario(sim, log):
+            res = Resource(sim, 1)
+            gate = sim.event("gate")
+
+            def first(sim):
+                try:
+                    yield gate
+                except Interrupted:
+                    log.append(("first-interrupted", sim.now))
+
+            def second(sim):
+                yield gate
+                yield from _inline_acquire(res, log, "b")
+                log.append(("b-has", sim.now))
+                res.release()
+
+            def trigger(sim, victim):
+                yield sim.timeout(1)
+                victim.interrupt()
+                yield sim.timeout(1)
+                gate.succeed()
+
+            victim = sim.spawn(first(sim))
+            sim.spawn(second(sim))
+            sim.spawn(trigger(sim, victim))
+            sim.run()
+
+        inline, _ = self._same_order(monkeypatch, scenario, "posted")
+        assert inline[0] == [
+            ("first-interrupted", 1.0), ("b", "posted", 2.0), ("b-has", 2.0),
+        ]
+
+    def test_queued_waiter_blocks_inline(self, sim):
+        res = Resource(sim, 1)
+        seen = []
+
+        def holder(sim):
+            yield res.acquire()
+            yield sim.timeout(5)
+            res.release()
+
+        def waiter(sim):
+            yield sim.timeout(1)
+            seen.append(res.acquire_inline())
+            yield res.acquire()
+            res.release()
+
+        sim.spawn(holder(sim))
+        sim.run(until=sim.spawn(waiter(sim)))
+        assert seen == [False]
+        assert res.available == 1
+
+    def test_outside_the_drain_loop_posts(self, sim):
+        res = Resource(sim, 1)
+        assert not res.acquire_inline()
+        assert res.available == 1
