@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -302,14 +304,25 @@ class TestCampaignCommands:
             main(["compare", str(tmp_path / "absent.jsonl")])
 
 
-class TestBenchCommand:
-    def test_bench_writes_json(self, capsys, tmp_path):
-        path = tmp_path / "BENCH_simulator.json"
-        assert main([
+@pytest.fixture(scope="class")
+def bench_run(tmp_path_factory):
+    """One ``repro bench`` run with the sweep, about a minute on a 2-CPU
+    host, shared by the tests that only read its exit code, JSON and
+    printed output."""
+    path = tmp_path_factory.mktemp("bench") / "BENCH_simulator.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([
             "bench", "--json", str(path), "--events", "5000",
             "--rounds", "1", "--sweep-scale", "128",
-        ]) == 0
-        payload = json.loads(path.read_text())
+        ])
+    return code, json.loads(path.read_text()), out.getvalue()
+
+
+class TestBenchCommand:
+    def test_bench_writes_json(self, bench_run):
+        code, payload, _out = bench_run
+        assert code == 0
         assert payload["event_loop"]["timeout_events_per_sec"] > 0
         assert payload["sweep"]["cached_points_resimulated"] == 0
         assert payload["sweep"]["points"] == 4
@@ -322,20 +335,15 @@ class TestBenchCommand:
             "--min-events-per-sec", "1e12",
         ]) == 1
 
-    def test_bench_fluid_payload_and_parallel_never_null(self, capsys, tmp_path):
-        path = tmp_path / "bench.json"
-        assert main([
-            "bench", "--json", str(path), "--events", "2000",
-            "--rounds", "1", "--sweep-scale", "128",
-        ]) == 0
-        payload = json.loads(path.read_text())
+    def test_bench_fluid_payload_and_parallel_never_null(self, bench_run):
+        code, payload, out = bench_run
+        assert code == 0
         fb = payload["fluid_bulk"]
         assert fb["identical_results"] is True
         assert fb["event_reduction"] > 10
         # the 1-CPU regression: parallel_sec must never be null again
         assert payload["sweep"]["parallel_sec"] is not None
         assert payload["sweep"]["parallel_workers"] >= 2
-        out = capsys.readouterr().out
         assert "fluid bulk fast path" in out
         if payload["sweep"]["parallel_note"]:
             assert "note:" in out
