@@ -142,7 +142,8 @@ def test_ablation_mirroring(benchmark):
     """Reliability extension: what does synchronous mirroring cost?
 
     The paper scopes mirroring out (§4.1, citing NRD/RRMP); this
-    measures it: every swap-out is RDMA-read by two servers, so
+    measures it as the ``nway(2)`` redundancy policy: every swap-out is
+    RDMA-read by two servers, so
     outbound data doubles while run time barely moves (the write path
     is asynchronous behind kswapd).
     """
@@ -151,7 +152,7 @@ def test_ablation_mirroring(benchmark):
     def run_pair():
         return (
             _run(HPBD(nservers=2), s),
-            _run(HPBD(nservers=2, mirror=True), s),
+            _run(HPBD(nservers=2, redundancy="nway(2)"), s),
         )
 
     plain, mirrored = benchmark.pedantic(run_pair, rounds=1, iterations=1)

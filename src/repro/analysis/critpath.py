@@ -69,7 +69,7 @@ _BLAME_PRECEDENCE: tuple[tuple[str, frozenset[str]], ...] = (
     # wire/ctrl so each shard fetch's wire time stays billed to the
     # wire and the fan-out/decode remainder lands here.
     ("degraded_read", frozenset({"hpbd.degraded"})),
-    # Hedged mirror reads (fail-slow mitigation): time the original
+    # Hedged nway reads (fail-slow mitigation): time the original
     # attempt kept limping before its hedge won the race (hedge_win),
     # and the losing hedge's own window when the primary answered first
     # (hedge_waste).  Both rank below wire/ctrl so the racing attempts'

@@ -341,27 +341,26 @@ def _run_critpath(args) -> int:
     return status
 
 
-_FAULT_MODES = ("remap", "disk", "mirror")
 _PLACEMENT_POLICIES = ("blocking", "least_loaded", "hash")
 
 #: the HPBD client's recovery counters ``repro faults`` reports.
 _RECOVERY_COUNTERS = (
     "retries", "timeouts", "failovers", "write_failovers",
-    "remaps", "disk_fallbacks", "stale_replies", "servers_dead",
+    "stale_replies", "servers_dead",
 )
 
 
 def _run_faults(args) -> int:
     """``repro faults``: crash a memory server mid-run, audit recovery.
 
-    Runs one traced testswap scenario with a scheduled ``ServerCrash``
-    and the recovery machinery for the chosen mode, then reports the
-    recovery counters, the fault/retry blame shares, and the invariant
-    monitors.  Exit status is nonzero on any invariant violation, or —
-    under ``--expect-recovery`` — when the run recovered without
-    actually exercising the machinery (no failover/remap/fallback or no
-    timeout), or — under ``--replay-check`` — when a second run of the
-    same seed diverges.
+    Runs one traced testswap scenario over two ``nway(2)`` memory
+    servers with a scheduled ``ServerCrash`` of the first, then reports
+    the recovery counters, the fault/retry blame shares, and the
+    invariant monitors.  Exit status is nonzero on any invariant
+    violation, or — under ``--expect-recovery`` — when the run
+    recovered without actually exercising the machinery (no failover
+    or no timeout), or — under ``--replay-check`` — when a second run
+    of the same seed diverges.
     """
     from .analysis.critpath import aggregate_blame, blame_split, request_paths
     from .config import FaultConfig, HPBD
@@ -379,26 +378,15 @@ def _run_faults(args) -> int:
         args.crash_at = 4_200_000.0 / scale
 
     def run_once() -> ScenarioResult:
-        if args.mode == "mirror":
-            device = HPBD(nservers=2, mirror=True)
-            crash = ServerCrash(at=args.crash_at, server=0)
-            fcfg = FaultConfig(
-                plan=FaultPlan(events=(crash,), seed=args.seed),
-                request_timeout_usec=args.timeout,
-            )
-        else:
-            device = HPBD(nservers=4)
-            crash = ServerCrash(at=args.crash_at, server=1)
-            fcfg = FaultConfig(
-                plan=FaultPlan(events=(crash,), seed=args.seed),
-                request_timeout_usec=args.timeout,
-                degraded_mode=args.mode,
-            )
+        crash = ServerCrash(at=args.crash_at, server=0)
         cfg = _scenario(
             [TestswapWorkload(size_bytes=GiB // scale)],
-            device, scale, 512 * MiB, GiB,
+            HPBD(nservers=2, redundancy="nway(2)"), scale, 512 * MiB, GiB,
         )
-        cfg.faults = fcfg
+        cfg.faults = FaultConfig(
+            plan=FaultPlan(events=(crash,), seed=args.seed),
+            request_timeout_usec=args.timeout,
+        )
         cfg.seed = args.seed
         return run_scenario(cfg, trace=True)
 
@@ -413,7 +401,7 @@ def _run_faults(args) -> int:
         return out
 
     print(
-        f"fault run: testswap over hpbd, mode={args.mode}, crash at "
+        f"fault run: testswap over hpbd nway(2), crash at "
         f"t={args.crash_at:g} us (scale=1/{scale}, seed={args.seed})..."
     )
     result = run_once()
@@ -447,16 +435,12 @@ def _run_faults(args) -> int:
     else:
         print("invariant monitors: clean (0 violations)")
     if args.expect_recovery:
-        recovered = (
-            ctrs["failovers"] + ctrs["write_failovers"]
-            + ctrs["remaps"] + ctrs["disk_fallbacks"]
-        )
+        recovered = ctrs["failovers"] + ctrs["write_failovers"]
         detected = ctrs["retries"] + ctrs["timeouts"]
         if recovered == 0 or detected == 0:
             print(
                 f"ERROR: expected recovery activity, got {detected} "
-                f"timeouts/retries and {recovered} "
-                f"failovers/remaps/fallbacks",
+                f"timeouts/retries and {recovered} failovers",
                 file=sys.stderr,
             )
             status = 1
@@ -479,7 +463,7 @@ def _run_faults(args) -> int:
         print(f"wrote {args.output}  (load in Perfetto / chrome://tracing)")
     if args.json:
         payload = {
-            "mode": args.mode,
+            "redundancy": "nway(2)",
             "scale": scale,
             "seed": args.seed,
             "crash_at_usec": args.crash_at,
@@ -811,7 +795,7 @@ def _plan_degraded_servers(faults) -> list[str]:
 def _run_health_mitigate(args) -> int:
     """``repro health --mitigate``: the limping-server acceptance run.
 
-    Runs the mirrored three-tenant fleet three ways — healthy baseline,
+    Runs the nway(2) three-tenant fleet three ways — healthy baseline,
     unmitigated fail-slow cliff, and fail-slow with EWMA replica
     selection + hedged reads + quarantine armed — and gates on the
     worst tenant p99: the unmitigated run must breach the ratio (the
@@ -846,7 +830,7 @@ def _run_health_mitigate(args) -> int:
         )
 
     print(
-        f"mitigation run: 3 mirrored tenants x {args.nservers} servers "
+        f"mitigation run: 3 nway(2) tenants x {args.nservers} servers "
         f"(scale=1/{scale}, seed={args.seed}, gate {args.p99_ratio}x)..."
     )
     runs = {}
@@ -1649,10 +1633,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "machinery and invariant monitors (nonzero exit on violations)",
     )
     fa.add_argument(
-        "--mode", choices=_FAULT_MODES, default="remap",
-        help="recovery mode absorbing the crash (default: remap)",
-    )
-    fa.add_argument(
         "--scale", type=int, default=32,
         help="size divisor; 1 = full paper sizes (default: 32)",
     )
@@ -1789,7 +1769,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     he.add_argument(
         "--mitigate", action="store_true",
-        help="limping-server acceptance: run the mirrored fleet "
+        help="limping-server acceptance: run the nway(2) fleet "
         "healthy, fail-slow unmitigated, and fail-slow with hedged "
         "reads + EWMA selection + quarantine; gate on worst tenant "
         "p99 vs the healthy baseline",

@@ -176,9 +176,8 @@ def plan_group(
     Pure planning, like :func:`plan_placement`: nothing is reserved.
     ``rs(k,m)`` picks the first k+m alive servers with room (healthy
     before quarantined, index order — deterministic); ``nway(r)``
-    replicates over the whole alive fleet as a ring, generalizing the
-    mirror layout (copy j of server i's chunk on server i+j at store
-    offset ``j * share``).
+    replicates over the whole alive fleet as a ring (copy j of server
+    i's chunk on server i+j at store offset ``j * share``).
     """
     if total_bytes <= 0 or total_bytes % PAGE_SIZE:
         raise ValueError(f"bad area size {total_bytes}")

@@ -40,7 +40,7 @@ __all__ = ["run_cluster_scenario", "build_cluster_scenario"]
 def _default_capacity(cfg: ClusterScenarioConfig) -> int:
     """Advertised per-server capacity when the config leaves it out:
     an even split of total demand — scaled by each tenant's redundancy
-    overhead (mirror 2x, nway(r) rx, rs(k,m) (k+m)/k) — rounded up to
+    overhead (nway(r) rx, rs(k,m) (k+m)/k) — rounded up to
     MiB, plus a MiB of slack for allocator rounding.
 
     Redundant groups concentrate on k+m members rather than spreading
@@ -48,8 +48,7 @@ def _default_capacity(cfg: ClusterScenarioConfig) -> int:
     knob for tight-packing experiments."""
     demand = 0.0
     for t in cfg.tenants:
-        overhead = 2.0 if cfg.mirror else t.redundancy_policy.overhead
-        demand += t.swap_bytes * overhead
+        demand += t.swap_bytes * t.redundancy_policy.overhead
     pol_max = max(
         (t.redundancy_policy for t in cfg.tenants),
         key=lambda p: p.width if p.kind == "rs" else 0,
@@ -75,7 +74,6 @@ class _Tenant:
         self.node: Node | None = None
         self.client: HPBDClient | None = None
         self.disk: DiskDevice | None = None
-        self.fallback_disk: DiskDevice | None = None
         self.queue = None
         self.admission = None
         self.disk_fallback = False
@@ -86,12 +84,6 @@ class _ClusterScenario:
     """One cluster run's full object graph (exposed for white-box tests)."""
 
     def __init__(self, cfg: ClusterScenarioConfig, trace: bool = False) -> None:
-        if cfg.faults is not None and cfg.faults.degraded_mode == "remap":
-            raise ValueError(
-                "cluster scenarios do not support degraded_mode='remap' "
-                "(chunk-map layouts have no successor-chunk convention); "
-                "use 'disk' or 'none'"
-            )
         self.cfg = cfg
         self.sim = Simulator()
         if trace:
@@ -207,7 +199,6 @@ class _ClusterScenario:
             tenant.admission = self.admission.admit(
                 spec.name,
                 spec.swap_bytes,
-                mirror=cfg.mirror,
                 redundancy=(
                     spec.redundancy if spec.redundancy != "none" else None
                 ),
@@ -216,45 +207,19 @@ class _ClusterScenario:
             if cfg.admission_fallback != "disk":
                 raise
             # NACKed tenants keep running — on their own local disk,
-            # the same degradation the per-request recovery ladder ends
-            # in (PR 4's disk fallback, applied at admission time).
+            # a slower but lossless swap device for the whole run.
             tenant.disk_fallback = True
             tenant.disk = DiskDevice(
                 self.sim,
                 name=f"{spec.name}-hda",
-                params=(
-                    cfg.faults.fallback_disk
-                    if cfg.faults is not None
-                    else ST340014A
-                ),
+                params=ST340014A,
                 swap_partition_bytes=spec.swap_bytes,
                 stats=self.stats,
             )
             tenant.queue = tenant.disk.queue
             return tenant
-        recovery: dict = {}
         faults = cfg.faults
-        if faults is not None:
-            if faults.degraded_mode == "disk":
-                tenant.fallback_disk = DiskDevice(
-                    self.sim,
-                    name=f"{spec.name}-fallback",
-                    params=faults.fallback_disk,
-                    swap_partition_bytes=spec.swap_bytes,
-                    stats=self.stats,
-                )
-                recovery["fallback_queue"] = tenant.fallback_disk.queue
-            recovery.update(
-                request_timeout_usec=faults.request_timeout_usec,
-                max_retries=faults.max_retries,
-                retry_backoff_usec=faults.retry_backoff_usec,
-                backoff_mult=faults.backoff_mult,
-                degraded_mode=faults.degraded_mode,
-                ewma_select=faults.ewma_select,
-                hedge_reads=faults.hedge_reads,
-                hedge_k=faults.hedge_k,
-                hedge_min_usec=faults.hedge_min_usec,
-            )
+        recovery = faults.recovery_kwargs() if faults is not None else {}
         tenant.client = HPBDClient(
             self.sim,
             tenant.node,
@@ -268,20 +233,12 @@ class _ClusterScenario:
             server_area_bases=tenant.admission.area_bases,
             tenant=spec.name,
             qos_weight=spec.weight,
-            # Mirrored tenants use the driver's default blocking layout
-            # (the admission grant carries no chunk map); redundant
-            # tenants route by the group's data map + parity extents.
-            distribution=(
-                None
-                if cfg.mirror
-                else ChunkMapDistribution(
-                    spec.swap_bytes,
-                    cfg.nservers,
-                    tenant.admission.chunks,
-                    tenant.admission.parity_chunks or None,
-                )
+            distribution=ChunkMapDistribution(
+                spec.swap_bytes,
+                cfg.nservers,
+                tenant.admission.chunks,
+                tenant.admission.parity_chunks or None,
             ),
-            mirror=cfg.mirror,
             redundancy=tenant.admission.group,
             health=self.health,
             **recovery,
@@ -405,13 +362,11 @@ class _ClusterScenario:
             for tenant in self.tenants:
                 yield from tenant.node.vmm.quiesce()
                 if tenant.client is not None:
-                    # Semi-sync mirrored writes may still have straggler
-                    # acks in flight; let them land before the audits.
+                    # Semi-sync writes may still have straggler acks in
+                    # flight; let them land before the audits.
                     yield from tenant.client.drain()
                 tenant.node.vmm.check_frame_accounting()
                 tenant.queue.audit_teardown()
-                if tenant.fallback_disk is not None:
-                    tenant.fallback_disk.queue.audit_teardown()
                 if tenant.client is not None:
                     tenant.client.pool.check_invariants()
                     tenant.client.audit_teardown()
@@ -582,10 +537,7 @@ class _ClusterScenario:
             for t in redundant
         )
         report = {
-            "policies": {
-                t.spec.name: t.admission.group.policy.label
-                for t in redundant
-            },
+            "policies": {t.spec.name: t.admission.policy for t in redundant},
             "demand_bytes": demand,
             "reserved_bytes": reserved,
             "overhead": reserved / demand if demand else 0.0,

@@ -66,9 +66,19 @@ class HPBD:
     register_on_fly: bool = False
     #: ablation (§4.2.5): stripe size in bytes (None = blocking layout)
     stripe_bytes: int | None = None
-    #: reliability extension: synchronous write mirroring + read failover
-    mirror: bool = False
+    #: redundancy policy for the swap area: "none", "nway(r)" (r-way
+    #: ring replication over every server; "nway(2)" is the mirroring
+    #: §4.1 points at) or "rs(k,m)" over the first k+m servers (see
+    #: :mod:`repro.redundancy.policy`)
+    redundancy: str = "none"
     label: str = "hpbd"
+
+    def __post_init__(self) -> None:
+        pol = parse_policy(self.redundancy)  # fail fast on a bad spec
+        if self.nservers < pol.width:
+            raise ValueError(
+                f"{pol.label} needs {pol.width} servers, got {self.nservers}"
+            )
 
 
 @dataclass(frozen=True)
@@ -122,34 +132,28 @@ class FaultConfig:
     max_retries: int = 2
     retry_backoff_usec: float = 200.0
     backoff_mult: float = 2.0
-    #: what happens once an HPBD server is dead: "remap" its chunk onto
-    #: the successor server, fall back to the local "disk", or "none"
-    #: (mirroring handles it, or the run fails)
-    degraded_mode: str = "none"
-    #: the disk model backing ``degraded_mode="disk"``
-    fallback_disk: DiskParams = ST340014A
-    #: fail-slow countermeasures (mirrored drivers only): per-server RTT
-    #: EWMAs steer mirror reads to the faster copy and quarantine
-    #: verdicts relax mirrored-write acks to semi-sync
-    ewma_select: bool = False
-    #: hedged reads: fire a tied request at the mirror when an attempt
-    #: exceeds its EWMA-derived deadline; first reply wins
-    hedge_reads: bool = False
-    #: hedge deadline = max(hedge_min_usec, srtt + hedge_k * rttvar)
-    hedge_k: float = 4.0
-    hedge_min_usec: float = 50.0
+    #: fail-slow countermeasures (nway(r) drivers only): per-server RTT
+    #: EWMAs steer reads to the fastest copy, hedged reads fire a tied
+    #: request at another copy once an attempt exceeds its EWMA-derived
+    #: deadline (first reply wins), and quarantine verdicts relax
+    #: replicated-write acks to semi-sync
+    mitigate: bool = False
 
     def __post_init__(self) -> None:
-        if self.degraded_mode not in ("none", "remap", "disk"):
-            raise ValueError(f"unknown degraded_mode {self.degraded_mode!r}")
         if self.request_timeout_usec is not None and self.request_timeout_usec <= 0:
             raise ValueError(f"bad request_timeout_usec {self.request_timeout_usec}")
         if self.max_retries < 0:
             raise ValueError(f"bad max_retries {self.max_retries}")
-        if self.hedge_k <= 0 or self.hedge_min_usec < 0:
-            raise ValueError(
-                f"bad hedge parameters ({self.hedge_k}, {self.hedge_min_usec})"
-            )
+
+    def recovery_kwargs(self) -> dict:
+        """The HPBD client's recovery keyword arguments."""
+        return dict(
+            request_timeout_usec=self.request_timeout_usec,
+            max_retries=self.max_retries,
+            retry_backoff_usec=self.retry_backoff_usec,
+            backoff_mult=self.backoff_mult,
+            mitigate=self.mitigate,
+        )
 
 
 @dataclass
@@ -254,11 +258,6 @@ class ClusterScenarioConfig:
     #: "blocking" (the paper's contiguous layout), "least_loaded"
     #: bin-packing, or consistent-"hash" sharding
     placement: str = "blocking"
-    #: mirror every tenant's pages across the fleet (replica of server
-    #: i's chunk on server i+1): blocking layout over all servers, each
-    #: server reserving its own share plus its predecessor's replica
-    #: area.  Enables the fail-slow countermeasures in FaultConfig.
-    mirror: bool = False
     #: weighted-fair QoS: partition server credits by tenant weight and
     #: serve requests in start-time-fair order (off = FIFO free-for-all)
     qos: bool = True
@@ -305,16 +304,6 @@ class ClusterScenarioConfig:
             raise ValueError(f"duplicate tenant names in {names}")
         if self.nservers < 1:
             raise ValueError(f"need at least one server, got {self.nservers}")
-        if self.mirror and self.nservers < 2:
-            raise ValueError("mirrored cluster needs at least two servers")
-        if self.mirror:
-            for t in self.tenants:
-                if t.swap_bytes % self.nservers:
-                    raise ValueError(
-                        f"tenant {t.name}: mirrored swap area "
-                        f"{t.swap_bytes} B must divide evenly across "
-                        f"{self.nservers} servers"
-                    )
         if self.placement not in PLACEMENT_POLICIES:
             raise ValueError(
                 f"placement {self.placement!r} not in {PLACEMENT_POLICIES}"
@@ -323,16 +312,6 @@ class ClusterScenarioConfig:
             pol = t.redundancy_policy
             if pol.kind == "none":
                 continue
-            if self.mirror:
-                raise ValueError(
-                    f"tenant {t.name}: per-tenant redundancy and the "
-                    f"fleet-wide mirror flag are exclusive"
-                )
-            if self.faults is not None and self.faults.degraded_mode != "none":
-                raise ValueError(
-                    f"tenant {t.name}: redundancy supplies its own "
-                    f"degraded path; degraded_mode must stay 'none'"
-                )
             if pol.kind == "rs":
                 if self.nservers < pol.width:
                     raise ValueError(

@@ -378,9 +378,9 @@ def faults_points(scale: int = DEFAULT_SCALE) -> list[SweepPoint]:
 
     Not a paper figure — the reliability extension's sweep: a healthy
     run under the recovery machinery (the control), a mid-run server
-    crash absorbed by chunk remapping, by disk fallback, and by a
-    mirror replica, plus a degraded link and a credit squeeze.  Every
-    point must complete with clean invariant monitors.
+    crash absorbed by an ``nway(2)`` replica, plus a degraded link and a
+    credit squeeze.  Every point must complete with clean invariant
+    monitors.
     """
 
     def _cfg(device, faults: FaultConfig) -> ScenarioConfig:
@@ -394,8 +394,7 @@ def faults_points(scale: int = DEFAULT_SCALE) -> list[SweepPoint]:
     # Aim the episodes at the middle of the run so they overlap swap
     # traffic (testswap takes ~8.4e6/scale simulated us end to end).
     mid = 4_200_000.0 / scale
-    crash = FaultPlan(events=(ServerCrash(at=mid, server=1),))
-    crash0 = FaultPlan(events=(ServerCrash(at=mid, server=0),))
+    crash = FaultPlan(events=(ServerCrash(at=mid, server=0),))
     degrade = FaultPlan(events=(
         LinkDegrade(at=mid, node="mem0", duration=mid / 4,
                     latency_mult=20.0, bandwidth_mult=0.25),
@@ -405,18 +404,13 @@ def faults_points(scale: int = DEFAULT_SCALE) -> list[SweepPoint]:
     ))
     quad = HPBD(nservers=4)
     return [
-        SweepPoint("faults/baseline",
-                   _cfg(quad, FaultConfig(degraded_mode="remap"))),
-        SweepPoint("faults/crash-remap",
-                   _cfg(quad, FaultConfig(plan=crash, degraded_mode="remap"))),
-        SweepPoint("faults/crash-disk",
-                   _cfg(quad, FaultConfig(plan=crash, degraded_mode="disk"))),
+        SweepPoint("faults/baseline", _cfg(quad, FaultConfig())),
         SweepPoint("faults/degrade",
                    _cfg(quad, FaultConfig(plan=degrade, max_retries=8))),
         SweepPoint("faults/starve", _cfg(quad, FaultConfig(plan=starve))),
-        SweepPoint("faults/mirror-crash",
-                   _cfg(HPBD(nservers=2, mirror=True),
-                        FaultConfig(plan=crash0))),
+        SweepPoint("faults/nway2-crash",
+                   _cfg(HPBD(nservers=2, redundancy="nway(2)"),
+                        FaultConfig(plan=crash))),
     ]
 
 
@@ -483,14 +477,13 @@ def cluster_failslow_config(
     )
 
 
-def _mirror_tenant(name: str, scale: int, nservers: int) -> TenantSpec:
-    """A fig07-sized quicksort tenant whose swap area is rounded up so
-    the mirror's blocking layout splits into page-aligned per-server
-    shares."""
+def _nway2_tenant(name: str, scale: int, nservers: int) -> TenantSpec:
+    """A fig07-sized ``nway(2)`` quicksort tenant whose swap area is
+    rounded up so the ring splits into page-aligned per-server shares."""
     spec = _cluster_tenant(name, scale)
     grain = nservers * PAGE_SIZE
     swap = -(-spec.swap_bytes // grain) * grain
-    return replace(spec, swap_bytes=swap)
+    return replace(spec, swap_bytes=swap, redundancy="nway(2)")
 
 
 def cluster_failslow_mitigated_config(
@@ -502,14 +495,15 @@ def cluster_failslow_mitigated_config(
     slow: bool = True,
     mitigate: bool = True,
 ) -> ClusterScenarioConfig:
-    """The limping-server mitigation run: three mirrored quicksort
+    """The limping-server mitigation run: three ``nway(2)`` quicksort
     tenants with ``mem1`` fail-slow mid-run — its memcpy service rate
     scaled by ``service_mult`` and every op stalled ``extra_rtt_usec``.
     Timeouts stay disabled (the server limps, it never dies), so the
     only defenses are the ones this config arms: ``mitigate=True``
     turns on EWMA replica selection, hedged reads, and quarantine;
     ``mitigate=False`` is the unmitigated cliff; ``slow=False`` is the
-    healthy mirrored baseline the acceptance gate compares against."""
+    healthy replicated baseline the acceptance gate compares against.
+    Nothing crashes, so background repair stays off."""
     mid = 73_000_000.0 / scale
     plan = None
     if slow:
@@ -518,30 +512,27 @@ def cluster_failslow_mitigated_config(
                        service_mult=service_mult,
                        extra_rtt_usec=extra_rtt_usec),
         ))
-    label = "cluster-mirror-healthy"
+    label = "cluster-nway2-healthy"
     if slow:
         label = ("cluster-failslow-mitigated" if mitigate
                  else "cluster-failslow-unmitigated")
     return ClusterScenarioConfig(
         tenants=[
-            _mirror_tenant(f"t{i}", scale, nservers) for i in range(3)
+            _nway2_tenant(f"t{i}", scale, nservers) for i in range(3)
         ],
         nservers=nservers,
-        mirror=True,
         qos=True,
         mem_reserved_bytes=24 * MiB // scale,
+        repair=False,
         faults=FaultConfig(
-            plan=plan,
-            request_timeout_usec=None,
-            ewma_select=mitigate,
-            hedge_reads=mitigate,
+            plan=plan, request_timeout_usec=None, mitigate=mitigate
         ),
         label=label,
     )
 
 
 def failslow_points(scale: int = DEFAULT_SCALE) -> list[SweepPoint]:
-    """The limping-server grid: healthy mirrored baseline, the
+    """The limping-server grid: healthy replicated baseline, the
     unmitigated cliff, and the mitigated run the acceptance gate
     compares against it."""
     return [
@@ -633,7 +624,7 @@ def cluster_redundancy_config(
 
 def redundancy_points(scale: int = DEFAULT_SCALE) -> list[SweepPoint]:
     """The durability/overhead grid ``repro sweep redundancy`` runs:
-    an unprotected baseline, 2-way mirroring and RS(4,2) each absorbing
+    an unprotected baseline, nway(2) replication and RS(4,2) each absorbing
     a mid-run crash, RS(4,2) under *two* staggered crashes (its full
     fault tolerance), and RS(2,1) rebuilding under a deliberately tight
     migration throttle (``mig.throttle_waits`` must fire).  Together

@@ -24,11 +24,14 @@ is tracked as an *attempt* with its own send timestamp and deadline:
 
 * with ``request_timeout_usec`` set, a watchdog expires overdue
   attempts and drives a bounded retry/backoff state machine;
-* an exhausted or hopeless attempt marks its server dead and re-routes:
-  to the mirror replica, onto a surviving server (``degraded_mode=
-  "remap"``), or down to the local swap disk (``degraded_mode="disk"``);
-* with timeouts disabled (the default) behaviour is unchanged: a server
-  error raises, except for the mirror read-failover path.
+* an exhausted or hopeless attempt marks its server dead and leans on
+  the redundancy group (:mod:`repro.redundancy`): an ``nway(r)`` read
+  fails over to the next alive ring copy (``nway(2)`` is the NRD/RRMP
+  mirroring §4.1 points at), a write drops the dead copy, an
+  ``rs(k,m)`` read reconstructs from k survivors; with no copy left the
+  run fails loudly;
+* with timeouts disabled (the default) a server error still fails over
+  to another copy, but no server is ever declared dead.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ib import HCA, CompletionQueue, RecvWR, SendWR, connect_endpoints
-from ..kernel.blockdev import Bio, BlockRequest, READ, RequestQueue, WRITE
+from ..kernel.blockdev import BlockRequest, READ, RequestQueue, WRITE
 from ..kernel.node import Node
 from ..net.fabrics import IBParams, IB_DEFAULT, memcpy_cost
 from ..obs.sketch import EWMA
@@ -44,11 +47,11 @@ from ..redundancy.policy import (
     ShardGroup,
     parity_row_entry,
     parity_token,
+    parse_policy,
     rs_decode_usec,
     rs_encode_usec,
 )
 from ..simulator import (
-    Event,
     SimulationError,
     Simulator,
     StatsRegistry,
@@ -71,15 +74,13 @@ from .striping import BlockingDistribution, Segment
 
 __all__ = ["HPBDClient"]
 
-#: degraded-mode policies once a server is declared dead
-DEGRADED_MODES = ("none", "remap", "disk")
-
 #: TCP-RTO-style estimator gains for the per-server RTT EWMAs driving
 #: replica selection and the hedged-read deadline.
 RTT_ALPHA = 0.125
 RTTVAR_ALPHA = 0.25
-#: replica selection: both copies need this many RTT samples, and the
-#: replica must beat the primary by this margin, before reads steer.
+#: replica selection: the default copy and the candidate need this many
+#: RTT samples, and the candidate must beat the default by this margin,
+#: before reads steer.
 SELECT_MIN_SAMPLES = 8
 SELECT_MARGIN = 0.8
 #: every Nth steered read probes the avoided copy instead, so its EWMA
@@ -87,6 +88,9 @@ SELECT_MARGIN = 0.8
 SELECT_PROBE_EVERY = 16
 #: hedged reads: no hedging until the estimator has this many samples.
 HEDGE_MIN_SAMPLES = 4
+#: hedge deadline = max(HEDGE_MIN_USEC, srtt + HEDGE_K * rttvar)
+HEDGE_K = 4.0
+HEDGE_MIN_USEC = 50.0
 
 
 @dataclass
@@ -115,14 +119,10 @@ class _Inflight:
     sent_at: float = 0.0
     #: swap-out payload token, re-sent verbatim on every attempt
     token: object = None
-    #: mirroring: how many acknowledgements must still arrive before the
-    #: shared buffer can be released and the segment counted done.
+    #: acknowledgements that must still arrive before the shared buffer
+    #: can be released (one per posted copy of a write)
     copies_left: int = 1
-    #: mirroring: server index holding the replica (read failover target)
-    replica_server: int | None = None
-    #: mirroring: True once this read was already retried on the replica
-    failed_over: bool = False
-    #: semi-sync mirroring: acknowledgements that must arrive before the
+    #: semi-sync writes: acknowledgements that must arrive before the
     #: segment counts *complete* (may be < copies_left under quarantine)
     need_acks: int = 1
     #: successful acknowledgements received so far
@@ -154,8 +154,8 @@ class _Inflight:
     #: role index of ``seg.server`` within the redundancy group at issue
     #: time (stable across spare rebuilds, unlike the server id)
     shard_idx: int = 0
-    #: servers that failed an attempt of this segment (legacy no-timeout
-    #: runs have no dead-set to exclude repeat offenders by)
+    #: servers that failed an attempt of this segment (no-timeout runs
+    #: have no dead-set to exclude repeat offenders by)
     failed_servers: set = field(default_factory=set)
     #: an open redundant write whose first attempts are not posted yet
     #: (row gate, pool, copy-in, encode)
@@ -175,11 +175,24 @@ class _Attempt:
     sent_at: float
     deadline: float | None = None
     retries: int = 0
-    #: when the watchdog should fire a tied request at the other copy
+    #: when the watchdog should fire a tied request at another copy
     #: (None: hedging off, already fired, or not hedgeable)
     hedge_at: float | None = None
     #: this attempt *is* the tied request of a hedged read
     is_hedge: bool = False
+
+
+def _standalone_group(policy, nservers: int, total_bytes: int):
+    """The group a driver builds from a policy string when no planner
+    hands it one: ``nway(r)`` rings over every server, ``rs(k,m)``
+    stripes over the first k+m; every member stores an equal share."""
+    if policy.kind == "none":
+        return None
+    if policy.kind == "rs":
+        return ShardGroup(
+            policy, list(range(policy.width)), total_bytes // policy.k
+        )
+    return ShardGroup(policy, list(range(nservers)), total_bytes // nservers)
 
 
 class HPBDClient:
@@ -208,56 +221,25 @@ class HPBDClient:
         tenant: str | None = None,
         qos_weight: float = 1.0,
         distribution=None,
-        mirror: bool = False,
-        redundancy: ShardGroup | None = None,
+        redundancy: ShardGroup | str | None = None,
         request_timeout_usec: float | None = None,
         max_retries: int = 2,
         retry_backoff_usec: float = 200.0,
         backoff_mult: float = 2.0,
-        degraded_mode: str = "none",
-        fallback_queue: RequestQueue | None = None,
-        ewma_select: bool = False,
-        hedge_reads: bool = False,
-        hedge_k: float = 4.0,
-        hedge_min_usec: float = 50.0,
+        mitigate: bool = False,
         health=None,
     ) -> None:
         if not servers:
             raise ValueError("HPBD needs at least one memory server")
-        if mirror and len(servers) < 2:
-            raise ValueError("mirroring needs at least two servers")
-        if degraded_mode not in DEGRADED_MODES:
-            raise ValueError(
-                f"degraded_mode {degraded_mode!r} not in {DEGRADED_MODES}"
-            )
-        if mirror and degraded_mode == "remap":
-            raise ValueError(
-                "mirror already re-routes around a dead server; "
-                "combine it with degraded_mode 'none' or 'disk'"
-            )
-        if degraded_mode == "remap" and len(servers) < 2:
-            raise ValueError("remap degraded mode needs at least two servers")
-        if degraded_mode == "disk" and fallback_queue is None:
-            raise ValueError("disk degraded mode needs a fallback_queue")
         if request_timeout_usec is not None and request_timeout_usec <= 0:
             raise ValueError(f"bad request timeout {request_timeout_usec}")
-        if (ewma_select or hedge_reads) and not mirror:
-            raise ValueError(
-                "EWMA replica selection / hedged reads need mirror=True"
+        if isinstance(redundancy, str):
+            redundancy = _standalone_group(
+                parse_policy(redundancy), len(servers), total_bytes
             )
         if redundancy is not None and redundancy.policy.kind == "none":
             redundancy = None
         if redundancy is not None:
-            if mirror:
-                raise ValueError(
-                    "pass mirror or redundancy, not both (mirror is "
-                    "nway(2) under the policy layer)"
-                )
-            if degraded_mode != "none":
-                raise ValueError(
-                    "redundancy subsumes the degraded modes: rs reads "
-                    "reconstruct, nway reads fail over"
-                )
             bad = [
                 s
                 for s in redundancy.servers
@@ -268,8 +250,12 @@ class HPBDClient:
                     f"redundancy group names servers {bad}, fleet has "
                     f"{len(servers)}"
                 )
-        if hedge_k <= 0 or hedge_min_usec < 0:
-            raise ValueError(f"bad hedge parameters ({hedge_k}, {hedge_min_usec})")
+        kind = redundancy.policy.kind if redundancy is not None else "none"
+        if mitigate and kind != "nway":
+            raise ValueError(
+                "fail-slow mitigation steers and hedges reads among "
+                f"nway(r) copies; a {kind!r} group has none to choose from"
+            )
         self.sim = sim
         self.node = node
         self.servers = servers
@@ -336,20 +322,11 @@ class HPBDClient:
             self.dist = StripedDistribution(
                 total_bytes, len(servers), stripe_bytes
             )
-        if degraded_mode == "disk" and not hasattr(self.dist, "absolute_offset"):
-            raise ValueError(
-                "disk degraded mode needs a distribution with contiguous "
-                "device-space segments (blocking layout)"
-            )
-        #: reliability extension (§4.1 points at NRD [13] / RRMP): write
-        #: every page to a replica server too; reads fail over to the
-        #: replica if the primary errors.  The replica of server i's
-        #: chunk lives on server i+1 (mod n) at base ``share_of(i+1)``.
-        self.mirror = mirror
         #: erasure-coded / replicated remote memory: the ShardGroup maps
         #: group members to shard roles (rs: k data + m parity; nway:
         #: every member data, r-1 ring replicas each).
         self.redundancy = redundancy
+        self._set_layout()
         for i, srv in enumerate(servers):
             share = self.dist.share_of(i)
             pshare = (
@@ -357,29 +334,17 @@ class HPBDClient:
                 if hasattr(self.dist, "parity_share_of")
                 else 0
             )
-            if share == 0 and pshare == 0 and not mirror and degraded_mode != "remap":
+            if share == 0 and pshare == 0:
                 # Chunk-map layouts may leave a fleet server unused by
                 # this tenant; nothing to size against.
                 continue
             need = self.server_area_bases[i] + share + pshare
-            if mirror:
-                # room for the predecessor's replica behind its own area
-                prev = (i - 1) % len(servers)
-                need += self.dist.share_of(prev)
-            elif degraded_mode == "remap":
-                # room to adopt a dead neighbour's chunk behind its own
-                # area (same layout math as the mirror replica area)
-                need += max(
-                    self.dist.share_of(j)
-                    for j in range(len(servers))
-                    if j != i
-                )
             if srv.ramdisk.size < need:
                 raise ValueError(
                     f"server {srv.name} RamDisk ({srv.ramdisk.size} B) too "
                     f"small: needs {need} B"
-                    + (" (share + replica area)" if mirror else "")
-                    + (" (share + remap area)" if degraded_mode == "remap" else "")
+                    + (f" (share + {pshare} B replica/parity area)"
+                       if pshare else "")
                 )
         self.queue = RequestQueue(
             sim,
@@ -406,8 +371,6 @@ class HPBDClient:
         self.max_retries = max_retries
         self.retry_backoff_usec = retry_backoff_usec
         self.backoff_mult = backoff_mult
-        self.degraded_mode = degraded_mode
-        self.fallback_queue = fallback_queue
         #: drop (and count) replies failing signature validation instead
         #: of raising — set by the fault injector; the watchdog then
         #: retransmits the affected request.
@@ -418,12 +381,9 @@ class HPBDClient:
         self._stale: set[int] = set()
         self._watch_wake = WaitQueue(sim, name=f"{name}.watchdog", latch=True)
         self._watchdog_spawned = False
-        # fail-slow countermeasures (mirror only): EWMA replica
-        # selection, hedged reads, quarantine-aware semi-sync writes
-        self.ewma_select = ewma_select
-        self.hedge_reads = hedge_reads
-        self.hedge_k = hedge_k
-        self.hedge_min_usec = hedge_min_usec
+        #: fail-slow countermeasures (nway groups): EWMA read steering,
+        #: hedged reads, quarantine-aware semi-sync writes
+        self.mitigate = mitigate
         self._srtt = [EWMA(RTT_ALPHA) for _ in servers]
         self._rttvar = [EWMA(RTTVAR_ALPHA) for _ in servers]
         self._steer_count = 0
@@ -444,8 +404,9 @@ class HPBDClient:
         self._rows: dict[int, list] = {}
         self._locked_rows: list[tuple[int, int]] = []
         self._row_gate = WaitQueue(sim, name=f"{name}.row_gate")
-        #: rs writes whose dead data shard was skipped, awaiting a
-        #: catch-up post once repair brings the shard back
+        #: redundant writes whose copies are not all acknowledged yet:
+        #: repair posts a catch-up copy against them when it brings a
+        #: member back
         self._open_writes: set = set()
         #: test hook: set to a list to log (server, row_offset, entries)
         #: per reconstructed degraded read
@@ -458,8 +419,6 @@ class HPBDClient:
         self._c_timeouts = self.stats.counter(f"{name}.timeouts")
         self._c_failovers = self.stats.counter(f"{name}.failovers")
         self._c_write_failovers = self.stats.counter(f"{name}.write_failovers")
-        self._c_remaps = self.stats.counter(f"{name}.remaps")
-        self._c_disk_fallbacks = self.stats.counter(f"{name}.disk_fallbacks")
         self._c_stale = self.stats.counter(f"{name}.stale_replies")
         self._c_nacks = self.stats.counter(f"{name}.nacks")
         self._c_dead = self.stats.counter(f"{name}.servers_dead")
@@ -478,6 +437,48 @@ class HPBDClient:
         #: RTTs, per-tenant request latencies, and failed attempts; the
         #: cluster runner shares one hub across every tenant's driver.
         self.health = health
+
+    def _set_layout(self) -> None:
+        """Cache the redundancy group's layout for the data path: each
+        data server's ring copies, every member's role index, the rs
+        data/parity members.  Rebuilt whenever the group changes (spare
+        rebuild), so the per-segment path never consults the group.
+
+        Without a group every segment has exactly one copy, on the
+        server the distribution names.
+        """
+        group = self.redundancy
+        #: data server -> ((server, store base), ...) in ring order
+        self._ring: dict[int, tuple[tuple[int, int], ...]] = {}
+        #: group member -> role index
+        self._shard_of: dict[int, int] = {}
+        self._data: tuple[int, ...] = ()
+        self._parity: tuple[int, ...] = ()
+        self._kind = "none"
+        self._label = "none"
+        self._k = 1
+        if group is None:
+            return
+        pol = group.policy
+        members = list(group.servers)
+        self._kind = pol.kind
+        self._label = pol.label
+        self._k = pol.k
+        self._shard_of = {s: i for i, s in enumerate(members)}
+        if pol.kind == "rs":
+            self._data = tuple(members[: pol.k])
+            self._parity = tuple(members[pol.k :])
+            return
+        # nway ring: copy j of member i's chunk on member (i+j) at
+        # store offset j * share.
+        g = len(members)
+        self._ring = {
+            s: tuple(
+                (members[(i + j) % g], j * group.share_bytes)
+                for j in range(pol.m + 1)
+            )
+            for i, s in enumerate(members)
+        }
 
     # -- setup ---------------------------------------------------------------
 
@@ -535,7 +536,7 @@ class HPBDClient:
             )
         self.sim.spawn(self._sender(), name=f"{self.name}.sender")
         self.sim.spawn(self._receiver(), name=f"{self.name}.receiver")
-        if self.request_timeout_usec is not None or self.hedge_reads:
+        if self.request_timeout_usec is not None or self.mitigate:
             self.sim.spawn(self._watchdog(), name=f"{self.name}.watchdog")
             self._watchdog_spawned = True
         self._connected = True
@@ -560,38 +561,22 @@ class HPBDClient:
         token = None
         if req.op == WRITE:
             token = (self.name, req.sector, seg.server_offset, seg.nbytes)
-        replica = (seg.server + 1) % len(self.servers) if self.mirror else None
-        entry = _Inflight(
-            pending=pending,
-            seg=seg,
-            op=req.op,
-            token=token,
-            replica_server=replica,
-        )
-        if self.redundancy is not None and req.op == WRITE:
+        entry = _Inflight(pending=pending, seg=seg, op=req.op, token=token)
+        if self._shard_of and req.op == WRITE:
             # Open-writes registry: any copy of this write may still be
             # unapplied somewhere until the last ack, so repair's
             # notify_* hooks post catch-up copies against it.
-            entry.shard_idx = self.redundancy.shard_index(seg.server)
+            entry.shard_idx = self._shard_of[seg.server]
             entry.unposted = True
             self._open_writes.add(entry)
-        if (
-            self.redundancy is not None
-            and self.redundancy.policy.kind == "rs"
-            and req.op == WRITE
-        ):
-            # Parity updates of one stripe row must be strictly ordered:
-            # take the row-interval gate, then fold this write into the
-            # per-row cache and build the parity token under it.
-            yield from self._acquire_rows(entry)
-            self._update_parity_cache(entry)
+            if self._kind == "rs":
+                # Parity updates of one stripe row must be strictly
+                # ordered: take the row-interval gate, then fold this
+                # write into the per-row cache and build the parity
+                # token under it.
+                yield from self._acquire_rows(entry)
+                self._update_parity_cache(entry)
         targets = self._fresh_targets(entry)
-        if not targets:
-            # Disk degraded mode with the primary already dead: the
-            # segment never touches the network.
-            self._c_disk_fallbacks.add()
-            sim.spawn(self._fallback_io(entry), name=f"{self.name}.fallback")
-            return
         if self.register_on_fly:
             # Ablation (§4.1's rejected alternative): pin the request's
             # pages and expose them directly — no copy, but the full
@@ -640,23 +625,23 @@ class HPBDClient:
             # its ack would outlive the release.
             entry.unposted = False
             targets += [t for t in entry.catchup_targets if t not in targets]
-        # Synchronous mirroring: the same buffer is RDMA-read by both
-        # servers; the segment completes only when both acknowledge.
+        # Synchronous replication: the same buffer is RDMA-read by every
+        # copy's server; the segment completes only when all acknowledge.
         entry.copies_left = len(targets)
         entry.need_acks = len(targets)
-        if entry.op == WRITE and len(targets) > 1 and self.ewma_select:
-            limping = [
+        if entry.op == WRITE and len(targets) > 1 and self.mitigate:
+            healthy = [
                 server
                 for server, _ in targets
-                if self._is_quarantined(server)
+                if not self._is_quarantined(server)
             ]
-            if limping:
-                # Semi-sync mirroring: a quarantined copy's ack stops
-                # gating completion.  Both copies still land (reads
-                # after the quarantine lifts stay correct) and the pool
-                # buffer is held until every ack, so the straggler's
-                # RDMA read stays valid.
-                entry.need_acks = 1
+            if len(healthy) < len(targets):
+                # Semi-sync: a quarantined copy's ack stops gating
+                # completion (at least one ack always does).  Every copy
+                # still lands (reads after the quarantine lifts stay
+                # correct) and the pool buffer is held until every ack,
+                # so the straggler's RDMA read stays valid.
+                entry.need_acks = max(1, len(healthy))
                 self._c_semisync.add()
         for server, offset in targets:
             yield from self._post_attempt(entry, server, offset)
@@ -664,127 +649,73 @@ class HPBDClient:
     def _fresh_targets(self, entry: _Inflight) -> list[tuple[int, int]]:
         """Where a brand-new segment goes, honouring dead servers.
 
-        Returns ``(server, store_offset)`` pairs — two for a mirrored
-        write, one otherwise, empty for straight-to-disk fallback.
+        Returns ``(server, store_offset)`` pairs.  rs(k,m): see
+        :meth:`_rs_targets`.  Otherwise a write lands on every alive
+        copy and a read on one: the first alive copy in ring order, or
+        with fail-slow mitigation the copy EWMA steering picks.
         """
-        if self.redundancy is not None:
-            return self._fresh_targets_redundant(entry)
+        if self._kind == "rs":
+            return self._rs_targets(entry)
         seg = entry.seg
-        primary = seg.server
-        if primary not in self._dead:
-            if self.mirror and entry.op == WRITE:
-                replica = entry.replica_server
-                if replica in self._dead:
-                    # Degraded mirroring: keep writing the surviving copy.
-                    self._c_write_failovers.add()
-                    return [(primary, seg.server_offset)]
-                return [
-                    (primary, seg.server_offset),
-                    (replica, self.dist.share_of(replica) + seg.server_offset),
-                ]
-            if self.mirror and entry.op == READ and self.ewma_select:
-                target = self._pick_read_server(entry)
-                if target != primary:
-                    return [
-                        (target, self.dist.share_of(target) + seg.server_offset)
-                    ]
-            return [(primary, seg.server_offset)]
-        if self.mirror:
-            replica = entry.replica_server
-            if replica in self._dead:
+        copies = self._copies(seg)
+        alive = copies
+        if self._dead:
+            alive = [c for c in copies if c[0] not in self._dead]
+            if not alive:
                 raise SimulationError(
-                    f"{self.name}: segment {seg} lost both copies "
-                    f"(servers {primary} and {replica} dead)"
+                    f"{self.name}: segment {seg} lost all {len(copies)} "
+                    f"copies"
                 )
-            if entry.op == WRITE:
-                self._c_write_failovers.add()
-            else:
-                self._c_failovers.add()
-                entry.failed_over = True
-            return [(replica, self.dist.share_of(replica) + seg.server_offset)]
-        if self.degraded_mode == "remap":
-            target = self._remap_target()
-            self._c_remaps.add()
-            return [(target, self.dist.share_of(target) + seg.server_offset)]
-        if self.degraded_mode == "disk":
-            return []
-        raise SimulationError(
-            f"{self.name}: server {primary} is dead and no degraded mode "
-            f"is configured"
-        )
-
-    # -- redundancy (rs / nway) data path -----------------------------------
-
-    def _fresh_targets_redundant(
-        self, entry: _Inflight
-    ) -> list[tuple[int, int]]:
-        """Targets for a brand-new segment under a redundancy group.
-
-        rs(k,m): a write lands on its data shard plus every alive parity
-        shard (all at the same stripe-row offset); with the data shard
-        dead the write goes parity-only and repair posts a catch-up
-        later.  A read goes to the data shard, or fans out degraded.
-        nway(r): a write lands on every alive ring copy, a read on the
-        first alive copy in ring order.
-        """
-        group = self.redundancy
-        pol = group.policy
-        seg = entry.seg
-        if pol.kind == "rs":
-            row = seg.server_offset
-            if entry.op == WRITE:
-                targets = []
-                if seg.server not in self._dead:
-                    targets.append((seg.server, row))
-                else:
-                    # Parity-only write: the parity token still encodes
-                    # the update, so nothing is lost — the data shard
-                    # catches up when repair brings it back.
-                    self._c_write_failovers.add()
-                alive_parity = [
-                    s for s in group.parity_servers if s not in self._dead
-                ]
-                targets += [(s, row) for s in alive_parity]
-                if not targets:
-                    raise SimulationError(
-                        f"{self.name}: write segment {seg} has no alive "
-                        f"shard left ({pol.label} beyond tolerance)"
-                    )
-                return targets
-            if seg.server not in self._dead:
-                return [(seg.server, row)]
-            return self._degraded_target_list(entry)
-        # nway ring: copy j of member i's chunk on member (i+j) at
-        # store offset j * share.
-        pos = group.shard_index(seg.server)
-        g = len(group.servers)
-        share = group.share_bytes
-        copies = [
-            (
-                group.servers[(pos + j) % g],
-                j * share + seg.server_offset,
-            )
-            for j in range(pol.m + 1)
-        ]
         if entry.op == WRITE:
-            targets = [(s, o) for s, o in copies if s not in self._dead]
+            if len(alive) < len(copies):
+                self._c_write_failovers.add()
+            return alive
+        if alive[0][0] != seg.server:
+            self._c_failovers.add()
+        if self.mitigate:
+            return [self._pick_read_copy(alive)]
+        return alive[:1]
+
+    def _copies(self, seg: Segment) -> list[tuple[int, int]]:
+        """Every ``(server, store_offset)`` copy of a segment, in ring
+        order (the data server first)."""
+        ring = self._ring.get(seg.server)
+        if ring is None:
+            return [(seg.server, seg.server_offset)]
+        off = seg.server_offset
+        return [(s, base + off) for s, base in ring]
+
+    # -- redundancy (rs) data path -------------------------------------------
+
+    def _rs_targets(self, entry: _Inflight) -> list[tuple[int, int]]:
+        """Targets for a brand-new segment under an rs(k,m) group: a
+        write lands on its data shard plus every alive parity shard (all
+        at the same stripe-row offset); with the data shard dead the
+        write goes parity-only and repair posts a catch-up later.  A
+        read goes to the data shard, or fans out degraded."""
+        seg = entry.seg
+        row = seg.server_offset
+        if entry.op == WRITE:
+            targets = []
+            if seg.server not in self._dead:
+                targets.append((seg.server, row))
+            else:
+                # Parity-only write: the parity token still encodes
+                # the update, so nothing is lost — the data shard
+                # catches up when repair brings it back.
+                self._c_write_failovers.add()
+            targets += [
+                (s, row) for s in self._parity if s not in self._dead
+            ]
             if not targets:
                 raise SimulationError(
-                    f"{self.name}: write segment {seg} lost all "
-                    f"{pol.m + 1} copies"
+                    f"{self.name}: write segment {seg} has no alive "
+                    f"shard left ({self._label} beyond tolerance)"
                 )
-            if len(targets) < pol.m + 1:
-                self._c_write_failovers.add()
             return targets
-        for s, off in copies:
-            if s not in self._dead:
-                if s != seg.server:
-                    self._c_failovers.add()
-                    entry.failed_over = True
-                return [(s, off)]
-        raise SimulationError(
-            f"{self.name}: segment {seg} lost all {pol.m + 1} copies"
-        )
+        if seg.server not in self._dead:
+            return [(seg.server, row)]
+        return self._degraded_target_list(entry)
 
     def _degraded_target_list(
         self, entry: _Inflight
@@ -792,26 +723,25 @@ class HPBDClient:
         """Set up a degraded rs read: pick k survivors (parity first —
         reconstruction needs at least one parity token) and mark the
         entry so the receiver collects shard replies."""
-        group = self.redundancy
-        pol = group.policy
         seg = entry.seg
         avoid = self._dead | entry.failed_servers
-        parity = [s for s in group.parity_servers if s not in avoid]
+        parity = [s for s in self._parity if s not in avoid]
         data = [
             s
-            for s in group.data_servers
+            for s in self._data
             if s not in avoid and s != seg.server
         ]
         cands = parity + data
-        if len(cands) < pol.k or not parity:
+        k = self._k
+        if len(cands) < k or not parity:
             raise SimulationError(
-                f"{self.name}: segment {seg} unrecoverable — {pol.label} "
+                f"{self.name}: segment {seg} unrecoverable — {self._label} "
                 f"stripe has {len(cands)} survivors "
-                f"({len(parity)} parity), needs {pol.k} incl. parity"
+                f"({len(parity)} parity), needs {k} incl. parity"
             )
-        chosen = cands[: pol.k]
+        chosen = cands[:k]
         entry.degraded = True
-        entry.lost_shard = group.shard_index(seg.server)
+        entry.lost_shard = self._shard_of[seg.server]
         entry.degraded_servers = set(chosen)
         entry.degraded_at = self.sim.now
         self._c_degraded.add()
@@ -860,17 +790,15 @@ class HPBDClient:
         """Fold this write into the per-row data-token cache and build
         the parity token its parity-shard attempts carry (the token-level
         image of the GF(256) parity over the stripe)."""
-        group = self.redundancy
-        pol = group.policy
         seg = entry.seg
-        shard = group.shard_index(seg.server)
+        shard = self._shard_of[seg.server]
         row0 = seg.server_offset // PAGE_SIZE
         rows_payload = []
         for p in range(seg.nbytes // PAGE_SIZE):
             row = row0 + p
             cur = self._rows.get(row)
             if cur is None:
-                cur = [None] * pol.k
+                cur = [None] * self._k
                 self._rows[row] = cur
             cur[shard] = (entry.token, p)
             rows_payload.append((row, tuple(cur)))
@@ -917,36 +845,66 @@ class HPBDClient:
                 nbytes=seg.nbytes,
             )
 
-    def _pick_read_server(self, entry: _Inflight) -> int:
-        """EWMA replica selection for a mirror read: steer to the copy
-        whose server answers faster, with quarantine verdicts taking
-        precedence and a deterministic probe keeping the avoided copy
-        sampled (so a recovered server wins its traffic back)."""
-        primary = entry.seg.server
-        replica = entry.replica_server
-        if replica is None or replica in self._dead:
-            return primary
-        primary_q = self._is_quarantined(primary)
-        replica_q = self._is_quarantined(replica)
-        if replica_q and not primary_q:
-            return primary
-        if primary_q and not replica_q:
-            steer = True
+    def _pick_read_copy(
+        self, alive: list[tuple[int, int]]
+    ) -> tuple[int, int]:
+        """EWMA read steering among a segment's alive copies.
+
+        ``alive[0]`` (the first alive copy in ring order) is the default.
+        Quarantine verdicts take precedence: a quarantined default
+        steers to the fastest healthy copy, and quarantined copies are
+        never steered to while a healthy one exists.  Otherwise reads
+        steer to the fastest copy once it beats the default by
+        ``SELECT_MARGIN``.  Every ``SELECT_PROBE_EVERY``-th steer probes
+        the default instead, so a recovered server wins its traffic
+        back.
+        """
+        first = alive[0]
+        if len(alive) < 2:
+            return first
+        healthy = [c for c in alive if not self._is_quarantined(c[0])]
+        if healthy and healthy[0] is not first:
+            target = min(healthy, key=self._srtt_key)
         else:
-            srtt_p = self._srtt[primary]
-            srtt_r = self._srtt[replica]
-            steer = (
-                srtt_p.count >= SELECT_MIN_SAMPLES
-                and srtt_r.count >= SELECT_MIN_SAMPLES
-                and srtt_r.value < SELECT_MARGIN * srtt_p.value
-            )
-        if not steer:
-            return primary
+            pool = healthy or alive
+            srtt_first = self._srtt[first[0]]
+            sampled = [
+                c
+                for c in pool[1:]
+                if self._srtt[c[0]].count >= SELECT_MIN_SAMPLES
+            ]
+            if srtt_first.count < SELECT_MIN_SAMPLES or not sampled:
+                return first
+            target = min(sampled, key=self._srtt_key)
+            if not (
+                self._srtt[target[0]].value < SELECT_MARGIN * srtt_first.value
+            ):
+                return first
         self._steer_count += 1
         if self._steer_count % SELECT_PROBE_EVERY == 0:
-            return primary
+            return first
         self._c_steered.add()
-        return replica
+        return target
+
+    def _srtt_key(self, copy: tuple[int, int]) -> float:
+        """Sort key for "fastest copy": smoothed RTT, with a server not
+        sampled yet first in line."""
+        srtt = self._srtt[copy[0]]
+        return srtt.value if srtt.count else 0.0
+
+    def _hedge_copy(
+        self, entry: _Inflight, server: int
+    ) -> tuple[int, int] | None:
+        """Where a hedged read of ``entry`` fires when its attempt on
+        ``server`` lags: the fastest other alive copy, if any."""
+        others = [
+            c
+            for c in self._copies(entry.seg)
+            if c[0] != server and c[0] not in self._dead
+        ]
+        if len(others) > 1:
+            return min(others, key=self._srtt_key)
+        return others[0] if others else None
 
     def _is_quarantined(self, server: int) -> bool:
         """Health-hub fail-slow verdict, with per-client edge tracking
@@ -982,28 +940,14 @@ class HPBDClient:
 
     def _hedge_delay(self, server: int) -> float | None:
         """EWMA-derived percentile deadline (TCP-RTO shape): srtt +
-        hedge_k * rttvar, floored at hedge_min_usec; ``None`` until the
+        HEDGE_K * rttvar, floored at HEDGE_MIN_USEC; ``None`` until the
         estimator has enough samples to trust."""
         srtt = self._srtt[server]
         if srtt.count < HEDGE_MIN_SAMPLES:
             return None
         return max(
-            self.hedge_min_usec,
-            srtt.value + self.hedge_k * self._rttvar[server].value,
+            HEDGE_MIN_USEC, srtt.value + HEDGE_K * self._rttvar[server].value
         )
-
-    def _remap_target(self) -> int:
-        """The survivor adopting the dead server's chunk: its successor
-        (mod n), hosting it behind its own area — the same layout math
-        as the mirror replica, so store sizing is shared too."""
-        if len(self._dead) != 1:
-            raise SimulationError(
-                f"{self.name}: remap handles exactly one dead server, "
-                f"have {sorted(self._dead)}"
-            )
-        dead = next(iter(self._dead))
-        target = (dead + 1) % len(self.servers)
-        return target
 
     def _post_attempt(
         self,
@@ -1037,14 +981,11 @@ class HPBDClient:
             # Lost a race: the target died while we waited for a credit.
             credits.release()
             if entry.op == READ and entry.live_rids and not entry.degraded:
-                return  # a tied attempt on the other copy carries the read
-            self._reroute(entry, server)
+                return  # a tied attempt on another copy carries the read
+            self._reroute(entry, server, "dead")
             return
         data_token = entry.token
-        if (
-            entry.parity_token is not None
-            and server in self.redundancy.parity_servers
-        ):
+        if entry.parity_token is not None and server in self._parity:
             # A parity shard stores the stripe's parity token, not the
             # write's own payload token.
             data_token = entry.parity_token
@@ -1065,21 +1006,15 @@ class HPBDClient:
             deadline = now + self.request_timeout_usec
         hedge_at = None
         if (
-            self.hedge_reads
+            self.mitigate
             and not is_hedge
             and entry.op == READ
             and not entry.hedged
-            and entry.replica_server is not None
+            and self._hedge_copy(entry, server) is not None
         ):
-            other = (
-                entry.replica_server
-                if server == entry.seg.server
-                else entry.seg.server
-            )
-            if other not in self._dead:
-                delay = self._hedge_delay(server)
-                if delay is not None:
-                    hedge_at = now + delay
+            delay = self._hedge_delay(server)
+            if delay is not None:
+                hedge_at = now + delay
         self._inflight[preq.req_id] = _Attempt(
             entry=entry,
             server=server,
@@ -1196,11 +1131,7 @@ class HPBDClient:
                 entry.acked += 1
                 entry.copies_left -= 1
                 self._check_copies(entry)
-                if (
-                    entry.degraded
-                    and self.redundancy is not None
-                    and att.server in self.redundancy.parity_servers
-                ):
+                if entry.degraded and att.server in self._parity:
                     # A parity shard's reply carries the stripe's parity
                     # token; reconstruction reads the lost column out of
                     # it once all k fetches are in.
@@ -1212,8 +1143,8 @@ class HPBDClient:
                 trace = sim.trace
                 if entry.copies_left > 0:
                     if not entry.completed and entry.acked >= entry.need_acks:
-                        # Semi-sync mirrored write: the fast copy's ack
-                        # completes the block request; the quarantined
+                        # Semi-sync write: the healthy copies' acks
+                        # complete the block request; a quarantined
                         # straggler only gates the buffer release.
                         if trace.enabled:
                             trace.complete(
@@ -1224,7 +1155,7 @@ class HPBDClient:
                                 server=att.server,
                             )
                         self._complete_segment(entry)
-                    continue  # mirrored write: wait for the other copy
+                    continue  # replicated write: wait for the other copies
                 if entry.completed:
                     # Straggler ack of a semi-sync write: release the
                     # shared buffer, nothing left to complete.
@@ -1419,111 +1350,45 @@ class HPBDClient:
 
     def _fire_hedge(self, att: _Attempt) -> None:
         """The EWMA-derived hedge deadline passed without a reply: fire
-        a tied request at the other copy; first acknowledgement wins and
+        a tied request at another copy; first acknowledgement wins and
         the loser is cancelled with its credit reclaimed."""
         entry = att.entry
         if entry.completed or entry.hedged or entry.op != READ:
             return
-        primary = entry.seg.server
-        other = entry.replica_server if att.server == primary else primary
-        if other is None or other in self._dead:
+        other = self._hedge_copy(entry, att.server)
+        if other is None:
             return
         entry.hedged = True
         self._c_hedges.add()
         self.sim.trace.instant(
             self.name, "recovery", "hedge_fired",
             req_id=entry.pending.req.req_id,
-            server=att.server, hedge_server=other,
-        )
-        offset = (
-            entry.seg.server_offset
-            if other == primary
-            else self.dist.share_of(other) + entry.seg.server_offset
+            server=att.server, hedge_server=other[0],
         )
         self.sim.spawn(
-            self._post_attempt(entry, other, offset, is_hedge=True),
+            self._post_attempt(entry, other[0], other[1], is_hedge=True),
             name=f"{self.name}.hedge",
         )
 
     def _fail_attempt(self, att: _Attempt, cause: str) -> None:
-        """One attempt came back bad (``error``) or never came back
-        (``timeout``): fail over, retry, degrade, or give up.
+        """One attempt came back bad (``error``/``nack``) or never came
+        back (``timeout``): bounded retry against the same server first,
+        then declare it dead (timeouts on) or remember it failed
+        (timeouts off) and lean on the group — drop a write copy, fail a
+        read over to another copy or degrade it.
 
         The caller has already popped the attempt and returned its
-        credit; this either schedules exactly one replacement attempt
-        or raises.
+        credit; this either schedules exactly one replacement attempt,
+        drops a write copy, or raises.
         """
         entry = att.entry
-        seg = entry.seg
         if self.health is not None:
             self.health.record_error(self.tenant or self.name, att.server)
         if entry.op == READ and entry.live_rids and not entry.degraded:
-            # A tied (hedged) attempt on the other copy is still in
+            # A tied (hedged) attempt on another copy is still in
             # flight — let it carry the read instead of spawning a third.
             self._mark_failed_span(att, cause)
             return
-        if self.redundancy is not None:
-            self._fail_attempt_redundant(att, cause)
-            return
-        retries_enabled = self.request_timeout_usec is not None
-        # 1. Mirror read failover (works even with retries disabled —
-        #    the original reliability extension).
-        if (
-            self.mirror
-            and entry.op == READ
-            and not entry.failed_over
-            and att.server != entry.replica_server
-            and entry.replica_server not in self._dead
-        ):
-            entry.failed_over = True
-            self._c_failovers.add()
-            self._mark_failed_span(att, cause)
-            self.sim.spawn(
-                self._post_attempt(
-                    entry,
-                    entry.replica_server,
-                    self.dist.share_of(entry.replica_server) + seg.server_offset,
-                ),
-                name=f"{self.name}.failover",
-            )
-            return
-        # 2. Bounded retry against the same server, with backoff.
-        if (
-            retries_enabled
-            and att.retries < self.max_retries
-            and att.server not in self._dead
-        ):
-            self._c_retries.add()
-            self._mark_failed_span(att, cause)
-            backoff = self.retry_backoff_usec * (
-                self.backoff_mult ** att.retries
-            )
-            self.sim.spawn(
-                self._backoff_resend(
-                    entry, att.server, att.offset, backoff, att.retries + 1
-                ),
-                name=f"{self.name}.retry",
-            )
-            return
-        # 3. Retries exhausted: declare the server dead and re-route
-        #    everything aimed at it.
-        if retries_enabled:
-            self._mark_failed_span(att, cause)
-            self._mark_dead(att.server)
-            self._reroute(entry, att.server)
-            return
-        # 4. Legacy behaviour (timeouts disabled): fail loudly.
-        raise SimulationError(
-            f"{self.name}: server {cause} on request "
-            f"{entry.pending.req.req_id}"
-        )
-
-    def _fail_attempt_redundant(self, att: _Attempt, cause: str) -> None:
-        """The redundancy-group failure ladder: bounded retry against
-        the same server first, then declare it dead (timeouts on) or
-        remember it failed (legacy) and lean on the group — drop a write
-        copy, fail a read over / degrade it."""
-        entry = att.entry
         retries_enabled = self.request_timeout_usec is not None
         if (
             retries_enabled
@@ -1548,13 +1413,20 @@ class HPBDClient:
             # aimed at the server; this one was already popped by the
             # caller, so route it explicitly.
             self._mark_dead(att.server)
-        self._redundant_reroute(entry, att.server)
+        self._reroute(entry, att.server, cause)
 
-    def _drop_write_copy(self, entry: _Inflight, failed_server: int) -> None:
-        """One copy of a redundant write is gone: stop expecting its
-        ack.  The surviving copies (rs: parity; nway: replicas) carry
-        the data; the write stays on the open-writes registry until its
-        last ack, so repair can post the lost copy back."""
+    def _lost(self, entry: _Inflight, cause: str, what: str) -> SimulationError:
+        """The loud failure for a segment with no copy left to try."""
+        return SimulationError(
+            f"{self.name}: server {cause} on request "
+            f"{entry.pending.req.req_id}: segment {entry.seg} {what}"
+        )
+
+    def _drop_write_copy(self, entry: _Inflight, cause: str) -> None:
+        """One copy of a write is gone: stop expecting its ack.  The
+        surviving copies (rs: parity; nway: replicas) carry the data;
+        the write stays on the open-writes registry until its last ack,
+        so repair can post the lost copy back."""
         self._c_write_failovers.add()
         entry.copies_left -= 1
         entry.need_acks -= 1
@@ -1562,9 +1434,7 @@ class HPBDClient:
         if entry.copies_left > 0:
             return
         if entry.acked == 0:
-            raise SimulationError(
-                f"{self.name}: write segment {entry.seg} lost every copy"
-            )
+            raise self._lost(entry, cause, "lost every write copy")
         # Off the catch-up registry before the finisher frees the buffer
         # — a notify in the gap must not post against a dead entry; the
         # acked surviving copies cover the restore instead.
@@ -1580,68 +1450,66 @@ class HPBDClient:
                 self._finish_segment(entry), name=f"{self.name}.finish"
             )
 
-    def _redundant_reroute(self, entry: _Inflight, failed_server: int) -> None:
-        """Replace one failed attempt using the redundancy group."""
-        group = self.redundancy
-        pol = group.policy
+    def _reroute(self, entry: _Inflight, failed_server: int, cause: str) -> None:
+        """Replace one failed attempt using the redundancy group: drop
+        a write copy, move a read to the next alive copy (rs: start or
+        patch a degraded fan-out) — or raise if nowhere is left."""
         seg = entry.seg
         entry.failed_servers.add(failed_server)
         if entry.op == WRITE:
-            self._drop_write_copy(entry, failed_server)
+            self._drop_write_copy(entry, cause)
             return
-        if pol.kind == "rs":
-            if not entry.degraded:
-                self._start_degraded(entry)
-                return
-            # One degraded fetch failed: swap in another survivor,
-            # keeping at least one parity source in the fetch set.
-            entry.degraded_servers.discard(failed_server)
-            avoid = (
-                self._dead
-                | entry.failed_servers
-                | entry.degraded_servers
-                | {seg.server}
-            )
-            has_parity = bool(entry.parity_replies) or any(
-                s in group.parity_servers for s in entry.degraded_servers
-            )
-            pick = None
-            for s in group.parity_servers + group.data_servers:
-                if s in avoid:
-                    continue
-                if has_parity or s in group.parity_servers:
-                    pick = s
-                    break
-            if pick is None:
-                raise SimulationError(
-                    f"{self.name}: segment {seg} unrecoverable — "
-                    f"{pol.label} stripe lost beyond tolerance"
-                )
-            entry.degraded_servers.add(pick)
-            self.sim.spawn(
-                self._post_attempt(entry, pick, seg.server_offset),
-                name=f"{self.name}.degraded",
-            )
+        if self._kind == "rs":
+            self._rs_reroute(entry, failed_server)
             return
-        # nway read: next alive copy in ring order not yet tried.
-        pos = group.shard_index(seg.server)
-        g = len(group.servers)
-        for j in range(pol.m + 1):
-            s = group.servers[(pos + j) % g]
+        # Read: next alive copy in ring order not yet tried.
+        copies = self._copies(seg)
+        for s, off in copies:
             if s in self._dead or s in entry.failed_servers:
                 continue
             if s != seg.server:
                 self._c_failovers.add()
-                entry.failed_over = True
             self.sim.spawn(
-                self._post_attempt(
-                    entry, s, j * group.share_bytes + seg.server_offset
-                ),
+                self._post_attempt(entry, s, off),
                 name=f"{self.name}.failover",
             )
             return
-        raise SimulationError(
-            f"{self.name}: segment {seg} lost all {pol.m + 1} copies"
+        raise self._lost(entry, cause, f"lost all {len(copies)} copies")
+
+    def _rs_reroute(self, entry: _Inflight, failed_server: int) -> None:
+        """An rs read attempt failed: start the degraded fan-out, or
+        swap another survivor into a running one, keeping at least one
+        parity source in the fetch set."""
+        seg = entry.seg
+        if not entry.degraded:
+            self._start_degraded(entry)
+            return
+        entry.degraded_servers.discard(failed_server)
+        avoid = (
+            self._dead
+            | entry.failed_servers
+            | entry.degraded_servers
+            | {seg.server}
+        )
+        has_parity = bool(entry.parity_replies) or any(
+            s in self._parity for s in entry.degraded_servers
+        )
+        pick = None
+        for s in self._parity + self._data:
+            if s in avoid:
+                continue
+            if has_parity or s in self._parity:
+                pick = s
+                break
+        if pick is None:
+            raise SimulationError(
+                f"{self.name}: segment {seg} unrecoverable — "
+                f"{self._label} stripe lost beyond tolerance"
+            )
+        entry.degraded_servers.add(pick)
+        self.sim.spawn(
+            self._post_attempt(entry, pick, seg.server_offset),
+            name=f"{self.name}.degraded",
         )
 
     def _mark_failed_span(self, att: _Attempt, cause: str) -> None:
@@ -1678,7 +1546,7 @@ class HPBDClient:
                 )
         if server in self._dead:
             # Someone else's attempt condemned the server meanwhile.
-            self._reroute(entry, server)
+            self._reroute(entry, server, "dead")
             return
         yield from self._post_attempt(entry, server, offset, retries=retries)
 
@@ -1706,97 +1574,9 @@ class HPBDClient:
                 and att.entry.live_rids
                 and not att.entry.degraded
             ):
-                # A tied attempt on the surviving copy carries the read.
+                # A tied attempt on a surviving copy carries the read.
                 continue
-            self._reroute(att.entry, server)
-
-    def _reroute(self, entry: _Inflight, failed_server: int) -> None:
-        """Schedule exactly one replacement attempt for one that failed
-        against a now-dead server — or raise if nowhere is left."""
-        if self.redundancy is not None:
-            self._redundant_reroute(entry, failed_server)
-            return
-        seg = entry.seg
-        primary = seg.server
-        if self.mirror:
-            replica = entry.replica_server
-            target = replica if failed_server == primary else primary
-            if target in self._dead:
-                raise SimulationError(
-                    f"{self.name}: segment {seg} lost both copies "
-                    f"(servers {primary} and {replica} dead)"
-                )
-            if entry.op == WRITE:
-                self._c_write_failovers.add()
-            else:
-                self._c_failovers.add()
-                entry.failed_over = True
-            offset = (
-                seg.server_offset
-                if target == primary
-                else self.dist.share_of(target) + seg.server_offset
-            )
-            self.sim.spawn(
-                self._post_attempt(entry, target, offset),
-                name=f"{self.name}.failover",
-            )
-            return
-        if self.degraded_mode == "remap":
-            target = self._remap_target()
-            self._c_remaps.add()
-            self.sim.spawn(
-                self._post_attempt(
-                    entry,
-                    target,
-                    self.dist.share_of(target) + seg.server_offset,
-                ),
-                name=f"{self.name}.remap",
-            )
-            return
-        if self.degraded_mode == "disk":
-            self._c_disk_fallbacks.add()
-            self.sim.spawn(
-                self._fallback_io(entry), name=f"{self.name}.fallback"
-            )
-            return
-        raise SimulationError(
-            f"{self.name}: server {failed_server} failed and no degraded "
-            f"mode is configured"
-        )
-
-    def _fallback_io(self, entry: _Inflight):
-        """Serve one segment from the local swap disk instead; generator.
-
-        The blocking layout keeps segments contiguous in device space,
-        so the fallback bio targets the same absolute device range.
-        """
-        sim = self.sim
-        seg = entry.seg
-        t0 = sim.now
-        abs_offset = self.dist.absolute_offset(seg)
-        done = Event(sim, name=f"{self.name}.fallback")
-        self.fallback_queue.submit_bio(
-            Bio(
-                op=entry.op,
-                sector=abs_offset // SECTOR_SIZE,
-                nsectors=seg.nbytes // SECTOR_SIZE,
-                done=done,
-                submit_time=sim.now,
-            )
-        )
-        self.fallback_queue.unplug()
-        yield done
-        if sim.trace.enabled:
-            sim.trace.complete(
-                self.name, "recovery", "disk_fallback", "fault.fallback",
-                t0, sim.now,
-                req_id=entry.pending.req.req_id, op=entry.op,
-                nbytes=seg.nbytes,
-            )
-        # The disk path moves data without the pool (no RDMA landing
-        # zone to copy out of), but any buffer a failed network attempt
-        # left behind must still be released.
-        yield from self._finish_segment(entry, copy_out=False)
+            self._reroute(att.entry, server, "dead")
 
     # -- repair notifications ------------------------------------------------
 
@@ -1828,9 +1608,7 @@ class HPBDClient:
                 self.name, "recovery", "server_repaired", server=server,
             )
         if self.redundancy is not None:
-            self._catch_up_writes(
-                self.redundancy.shard_index(server), server
-            )
+            self._catch_up_writes(self._shard_of[server], server)
 
     def notify_rebuilt(self, old: int, new: int, new_base: int) -> None:
         """Background repair rebuilt ``old``'s shard onto spare ``new``
@@ -1838,8 +1616,13 @@ class HPBDClient:
         the chunk map and the area bases, then catch up open writes."""
         if self.redundancy is None:
             raise SimulationError(f"{self.name}: no redundancy group")
-        idx = self.redundancy.shard_index(old)
-        self.redundancy.replace_server(old, new, new_base)
+        idx = self.redundancy.replace_server(old, new, new_base)
+        self._set_layout()
+        # Segments split before the rebuild still name ``old``: resolve
+        # them to the role's new layout.
+        self._shard_of[old] = idx
+        if new in self._ring:
+            self._ring[old] = self._ring[new]
         self.server_area_bases[new] = new_base
         if self._server_qps:
             self.servers[new].set_client_area_base(
@@ -1897,17 +1680,10 @@ class HPBDClient:
     def outstanding(self) -> int:
         return len(self._inflight)
 
-    @property
-    def dead_servers(self) -> frozenset[int]:
-        return frozenset(self._dead)
-
-    def credit_stalls(self) -> int:
-        return sum(c.stall_count for c in self._credits)
-
     def drain(self):
         """Wait (bounded) for straggler acknowledgements; generator.
 
-        Semi-sync mirrored writes complete the block request before the
+        Semi-sync writes complete the block request before the
         quarantined copy acks, so a run can reach teardown with those
         straggler attempts still in flight.  Poll them out before the
         audit; the bound keeps a genuinely wedged run failing loudly in

@@ -153,12 +153,7 @@ class BlockingDistribution:
         return offset // self.chunk_bytes, offset % self.chunk_bytes
 
     def absolute_offset(self, seg: Segment) -> int:
-        """Device byte offset of a segment (inverse of :meth:`locate`).
-
-        Only the blocking layout keeps segments contiguous in device
-        space, which is what lets the disk-fallback degraded mode remap
-        a segment onto the local swap disk 1:1.
-        """
+        """Device byte offset of a segment (inverse of :meth:`locate`)."""
         if not (0 <= seg.server < self.nservers):
             raise ValueError(f"no server {seg.server}")
         return seg.server * self.chunk_bytes + seg.server_offset
@@ -329,8 +324,7 @@ class ChunkMapDistribution:
         """Device byte offset of a segment (inverse of :meth:`locate`).
 
         Split segments never cross a chunk boundary, so each maps back
-        into exactly one chunk — which keeps the disk-fallback degraded
-        mode working under any placement policy.
+        into exactly one chunk.
         """
         for c in self.chunks:
             if (

@@ -126,7 +126,3 @@ class ProtectionDomain:
     @property
     def registered_bytes(self) -> int:
         return sum(mr.length for mr in self._regions.values())
-
-    @property
-    def region_count(self) -> int:
-        return len(self._regions)

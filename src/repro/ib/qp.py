@@ -147,10 +147,6 @@ class QueuePair:
             )
         self._recv_queue.append(wr)
 
-    @property
-    def posted_recvs(self) -> int:
-        return len(self._recv_queue)
-
     def post_send(self, wr: SendWR | RDMAWriteWR | RDMAReadWR) -> Event:
         """Queue a work request; returns an event firing at completion.
 

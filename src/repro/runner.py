@@ -23,6 +23,7 @@ from .kernel.node import Node
 from .nbd.client import NBDClient
 from .nbd.server import NBDServer
 from .net.link import Fabric
+from .redundancy.policy import parse_policy
 from .results import InstanceResult, ScenarioResult
 from .simulator import Simulator, StatsRegistry, all_of
 from .units import MiB, bytes_to_pages, pages_to_bytes
@@ -63,7 +64,6 @@ class _Scenario:
         self.nbd_client: NBDClient | None = None
         self.nbd_server: NBDServer | None = None
         self.disk: DiskDevice | None = None
-        self.fallback_disk: DiskDevice | None = None
         self.queue = None
         self._build_device(cfg.device)
         self.fault_injector: FaultInjector | None = None
@@ -99,15 +99,16 @@ class _Scenario:
         if isinstance(dev, HPBD):
             store = dev.server_store_bytes
             if store is None:
-                # An equal share of the swap area, rounded up to MiB
-                # (doubled when mirroring — share + a replica area — or
-                # when remap mode may land a dead peer's chunk here).
-                share = -(-cfg.swap_bytes // dev.nservers)
+                # An equal share of the swap area, rounded up to MiB:
+                # one share per data member (rs: k of them), times the
+                # copies each member stores (nway(r): its own share
+                # plus r-1 ring replicas).
+                pol = parse_policy(dev.redundancy)
+                members = pol.k if pol.kind == "rs" else dev.nservers
+                share = -(-cfg.swap_bytes // members)
                 store = -(-share // MiB) * MiB
-                if dev.mirror or (
-                    faults is not None and faults.degraded_mode == "remap"
-                ):
-                    store *= 2
+                if pol.kind == "nway":
+                    store *= pol.m + 1
             for i in range(dev.nservers):
                 self.hpbd_servers.append(
                     HPBDServer(
@@ -121,28 +122,7 @@ class _Scenario:
                         stats=self.stats,
                     )
                 )
-            recovery: dict = {}
-            if faults is not None:
-                if faults.degraded_mode == "disk":
-                    self.fallback_disk = DiskDevice(
-                        self.sim,
-                        name="fallback_hda",
-                        params=faults.fallback_disk,
-                        swap_partition_bytes=cfg.swap_bytes,
-                        stats=self.stats,
-                    )
-                    recovery["fallback_queue"] = self.fallback_disk.queue
-                recovery.update(
-                    request_timeout_usec=faults.request_timeout_usec,
-                    max_retries=faults.max_retries,
-                    retry_backoff_usec=faults.retry_backoff_usec,
-                    backoff_mult=faults.backoff_mult,
-                    degraded_mode=faults.degraded_mode,
-                    ewma_select=faults.ewma_select,
-                    hedge_reads=faults.hedge_reads,
-                    hedge_k=faults.hedge_k,
-                    hedge_min_usec=faults.hedge_min_usec,
-                )
+            recovery = faults.recovery_kwargs() if faults is not None else {}
             self.hpbd_client = HPBDClient(
                 self.sim,
                 self.node,
@@ -154,7 +134,7 @@ class _Scenario:
                 stats=self.stats,
                 register_on_fly=dev.register_on_fly,
                 stripe_bytes=dev.stripe_bytes,
-                mirror=dev.mirror,
+                redundancy=dev.redundancy,
                 **recovery,
             )
             self.queue = self.hpbd_client.queue
@@ -246,8 +226,8 @@ class _Scenario:
                 self.metrics.stop()
             yield from self.node.vmm.quiesce()
             if self.hpbd_client is not None:
-                # Semi-sync mirrored writes may still have straggler
-                # acks in flight; let them land before the audits.
+                # Semi-sync writes may still have straggler acks in
+                # flight; let them land before the audits.
                 yield from self.hpbd_client.drain()
             # Post-run integrity: ledgers must balance.
             self.node.vmm.check_frame_accounting()
@@ -257,8 +237,6 @@ class _Scenario:
             # conservation invariants to sim.monitors.
             if self.queue is not None:
                 self.queue.audit_teardown()
-            if self.fallback_disk is not None:
-                self.fallback_disk.queue.audit_teardown()
             if self.hpbd_client is not None:
                 self.hpbd_client.audit_teardown()
             for srv in self.hpbd_servers:

@@ -104,12 +104,6 @@ class FluidChannel:
         self._c_pages = self.stats.counter(f"{name}.discrete_pages")
         self._c_expansions = self.stats.counter(f"{name}.expansions")
 
-    # -- introspection -------------------------------------------------------
-
-    @property
-    def active_flows(self) -> int:
-        return len(self._flows)
-
     # -- API -----------------------------------------------------------------
 
     def transfer(self, nbytes: int, name: str = "") -> Process:

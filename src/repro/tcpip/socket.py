@@ -103,9 +103,6 @@ class Connection:
             raise SocketError(f"{self.name}: recv on closed connection")
         return self._inbox.get()
 
-    def try_recv(self) -> Message | None:
-        return self._inbox.try_get()
-
     @property
     def pending(self) -> int:
         return len(self._inbox)

@@ -137,7 +137,3 @@ class QuicksortWorkload(Workload):
             seed=seed,
             subtree_cutoff_pages=self.subtree_cutoff_pages,
         )
-
-    @property
-    def partition_passes(self) -> int:
-        return len(self._ops)

@@ -366,11 +366,11 @@ class TestBenchCommand:
 
 
 class TestFaultsCommand:
-    def test_faults_remap_smoke(self, capsys, tmp_path):
+    def test_faults_nway2_smoke(self, capsys, tmp_path):
         trace = tmp_path / "fault-trace.json"
         report = tmp_path / "faults.json"
         assert main([
-            "faults", "--mode", "remap", "--scale", "64",
+            "faults", "--scale", "64",
             "--expect-recovery",
             "-o", str(trace), "--json", str(report),
         ]) == 0
@@ -378,11 +378,13 @@ class TestFaultsCommand:
         assert "invariant monitors: clean" in out
         assert trace.exists()
         payload = json.loads(report.read_text())
-        assert payload["counters"]["remaps"] > 0
+        assert payload["redundancy"] == "nway(2)"
+        assert payload["counters"]["write_failovers"] > 0
         assert payload["counters"]["timeouts"] > 0
         assert payload["violations"] == []
         assert payload["blame_usec"]["fault"] > 0
 
     def test_faults_bad_mode_rejected(self):
+        # The recovery mode is no longer selectable (always nway(2)).
         with pytest.raises(SystemExit):
             main(["faults", "--mode", "sideways"])

@@ -1,11 +1,12 @@
 """Tests for the limping-server machinery: ``ServerSlow`` injection,
-EWMA replica selection, hedged mirror reads, and quarantine.
+EWMA replica selection, hedged nway reads, and quarantine.
 
-Unit coverage drives a two-server mirrored driver directly (steering,
-hedging, credit accounting, the watchdog's re-aim fix) and the fleet
-registry's quarantine verdicts with synthetic health feeds.  The
-acceptance scenario is the ISSUE gate: the seeded three-tenant mirrored
-cluster with one fail-slow server costs < 2x the healthy worst tenant
+Unit coverage drives ``nway(2)`` and ``nway(3)`` drivers directly
+(steering, hedging, semi-sync writes, credit accounting, the watchdog's
+re-aim fix) and the fleet registry's quarantine verdicts with synthetic
+health feeds.  The acceptance scenario is the mitigation gate: the
+seeded three-tenant ``nway(2)`` cluster with one fail-slow server costs
+< 2x the healthy worst tenant
 p99 under mitigation, while the unmitigated run breaches that cliff —
 with hedge-win time on the critical path and zero conservation
 violations, byte-identical under replay.
@@ -114,23 +115,29 @@ class TestServerSlowEvent:
         assert one_run() == one_run()
 
 
-# -- driver countermeasures (two-server mirror) --------------------------
+# -- driver countermeasures (nway(2)) -------------------------------------
+
+
+def _mitigating_client(sim, fabric, copies: int, health=None):
+    """``copies`` servers in an ``nway(copies)`` ring, countermeasures on:
+    every server holds a copy of every chunk."""
+    node = Node(sim, fabric, "client", mem_bytes=16 * MiB)
+    servers = [
+        HPBDServer(sim, fabric, f"mem{i}", store_bytes=16 * copies * MiB,
+                   stats=node.stats)
+        for i in range(copies)
+    ]
+    client = HPBDClient(
+        sim, node, servers, total_bytes=16 * copies * MiB,
+        redundancy=f"nway({copies})", mitigate=True, health=health,
+    )
+    sim.run(until=sim.spawn(client.connect()))
+    return node, servers, client
 
 
 @pytest.fixture
 def mitigating(sim, fabric):
-    node = Node(sim, fabric, "client", mem_bytes=16 * MiB)
-    servers = [
-        HPBDServer(sim, fabric, f"mem{i}", store_bytes=32 * MiB,
-                   stats=node.stats)
-        for i in range(2)
-    ]
-    client = HPBDClient(
-        sim, node, servers, total_bytes=32 * MiB, mirror=True,
-        ewma_select=True, hedge_reads=True,
-    )
-    sim.run(until=sim.spawn(client.connect()))
-    return node, servers, client
+    return _mitigating_client(sim, fabric, 2)
 
 
 def do_io(sim, client, op, sector, nsectors):
@@ -153,20 +160,21 @@ def counter(client, name: str) -> int:
 
 
 class TestCountermeasures:
-    def test_requires_mirror(self, sim, fabric):
+    def test_rs_and_none_reject_mitigation(self, sim, fabric):
         node = Node(sim, fabric, "c", mem_bytes=16 * MiB)
         servers = [
             HPBDServer(sim, fabric, f"m{i}", store_bytes=32 * MiB)
-            for i in range(2)
+            for i in range(3)
         ]
-        with pytest.raises(ValueError, match="mirror"):
-            HPBDClient(sim, node, servers, total_bytes=32 * MiB,
-                       ewma_select=True)
+        for redundancy in ("none", "rs(2,1)"):
+            with pytest.raises(ValueError, match="nway"):
+                HPBDClient(sim, node, servers, total_bytes=32 * MiB,
+                           redundancy=redundancy, mitigate=True)
 
     def test_ewma_steers_reads_off_slow_primary(self, sim, mitigating):
         _node, servers, client = mitigating
-        # Warm both estimators past SELECT_MIN_SAMPLES (mirrored writes
-        # observe an RTT on each copy).
+        # Warm both estimators past SELECT_MIN_SAMPLES (replicated
+        # writes observe an RTT on each copy).
         for i in range(12):
             do_io(sim, client, WRITE, sector=i * 8, nsectors=8)
         servers[0].slow(service_mult=8.0, extra_usec=500.0)
@@ -178,7 +186,7 @@ class TestCountermeasures:
 
     def test_hedge_wins_and_reclaims_credits(self, sim, mitigating):
         """A stalled primary read is rescued by the tied request at the
-        mirror; when the loser's late reply finally arrives, its credit
+        replica; when the loser's late reply finally arrives, its credit
         is already back and nothing leaks."""
         _node, servers, client = mitigating
         for i in range(8):
@@ -188,7 +196,7 @@ class TestCountermeasures:
         # Stall every op on the primary far past the hedge deadline.
         servers[0].slow(service_mult=1.0, extra_usec=20_000.0)
         t = do_io(sim, client, READ, sector=0, nsectors=8)
-        # The read completed on the mirror's timescale, not the stall's.
+        # The read completed on the replica's timescale, not the stall's.
         assert t < 20_000.0
         assert counter(client, "hedges") >= 1
         assert counter(client, "hedge_wins") >= 1
@@ -214,7 +222,7 @@ class TestCountermeasures:
             for i in range(2)
         ]
         client = HPBDClient(
-            sim, node, servers, total_bytes=32 * MiB, mirror=True,
+            sim, node, servers, total_bytes=32 * MiB, redundancy="nway(2)",
             request_timeout_usec=10_000.0,
         )
         sim.run(until=sim.spawn(client.connect()))
@@ -244,6 +252,100 @@ class TestCountermeasures:
 
         sim.run(until=sim.spawn(proc(sim)))
         assert expired == [(1, pytest.approx(posted["short"] + 200.0))]
+
+
+class _FlagServers:
+    """A health sink whose fail-slow verdict flags a fixed server set."""
+
+    def __init__(self, slow: set[int]) -> None:
+        self.slow = slow
+
+    def server_is_slow(self, server: int) -> bool:
+        return server in self.slow
+
+    def record_server_rtt(self, server: int, rtt: float) -> None:
+        pass
+
+    def record_request(self, tenant: str, latency: float) -> None:
+        pass
+
+    def record_error(self, tenant: str, server: int) -> None:
+        pass
+
+
+class TestThreeWayCountermeasures:
+    """nway(3): chunk 0 has copies on mem0 (its data server), mem1 and
+    mem2; steering and hedging choose among the alive ones."""
+
+    def test_reads_steer_to_fastest_copy(self, sim, fabric):
+        _node, servers, client = _mitigating_client(sim, fabric, 3)
+        # mem1 answers a little slower than mem2 throughout; the warm-up
+        # writes sample every copy's RTT.
+        servers[1].slow(service_mult=2.0, extra_usec=100.0)
+        for i in range(12):
+            do_io(sim, client, WRITE, sector=i * 8, nsectors=8)
+        servers[0].slow(service_mult=8.0, extra_usec=500.0)
+        served = [srv.requests_served for srv in servers]
+        for _ in range(20):
+            do_io(sim, client, READ, sector=0, nsectors=8)
+        assert counter(client, "steered_reads") > 0
+        gained = [
+            srv.requests_served - before
+            for srv, before in zip(servers, served)
+        ]
+        # Steered reads land on mem2, the fastest copy; mem1 never sees
+        # a read.
+        assert gained[2] >= counter(client, "steered_reads")
+        assert gained[1] == 0
+
+    def test_hedge_lands_on_alive_copy(self, sim, fabric):
+        _node, servers, client = _mitigating_client(sim, fabric, 3)
+        for i in range(8):
+            do_io(sim, client, WRITE, sector=i * 8, nsectors=8)
+        for _ in range(6):
+            do_io(sim, client, READ, sector=0, nsectors=8)
+        client.notify_server_down(1)
+        servers[0].slow(service_mult=1.0, extra_usec=20_000.0)
+        served = [srv.requests_served for srv in servers]
+        t0 = sim.now
+        t = do_io(sim, client, READ, sector=0, nsectors=8)
+        assert t - t0 < 20_000.0
+        assert counter(client, "hedges") == 1
+        assert counter(client, "hedge_wins") == 1
+        assert servers[1].requests_served == served[1]
+        assert servers[2].requests_served == served[2] + 1
+
+        def settle(sim):
+            yield sim.timeout(50_000.0)
+            yield from client.drain()
+
+        sim.run(until=sim.spawn(settle(sim)))
+        client.audit_teardown()
+        assert sim.monitors.summary() == []
+
+    def test_quarantined_copy_does_not_gate_writes(self, sim, fabric):
+        _node, servers, client = _mitigating_client(
+            sim, fabric, 3, health=_FlagServers({2})
+        )
+        servers[2].slow(service_mult=1.0, extra_usec=20_000.0)
+        t = do_io(sim, client, WRITE, sector=0, nsectors=8)
+        # Both healthy copies acked; the quarantined straggler did not
+        # hold the block request.
+        assert t < 20_000.0
+        assert counter(client, "semisync_writes") == 1
+        assert counter(client, "quarantines") == 1
+        assert client.outstanding == 1
+
+        def settle(sim):
+            yield sim.timeout(50_000.0)
+            yield from client.drain()
+
+        sim.run(until=sim.spawn(settle(sim)))
+        # The straggler copy still landed, and nothing leaked.
+        assert [srv.ramdisk.pages_stored for srv in servers] == [1, 1, 1]
+        client.audit_teardown()
+        client.pool.check_invariants()
+        assert sim.monitors.summary() == []
 
 
 # -- quarantine (health hub -> registry -> placement) --------------------
@@ -342,7 +444,7 @@ class TestHealthRestartReset:
 @pytest.fixture(scope="module")
 def failslow_runs():
     """Healthy baseline, unmitigated cliff, and mitigated run of the
-    seeded mirrored fleet (mitigated traced for blame)."""
+    seeded nway(2) fleet (mitigated traced for blame)."""
     from repro.experiments import cluster_failslow_mitigated_config
     from repro.runner import run_scenario
 

@@ -216,7 +216,7 @@ _SCALE = 64
 
 _RECOVERY_KEYS = (
     "retries", "timeouts", "failovers", "write_failovers",
-    "remaps", "disk_fallbacks", "stale_replies", "servers_dead",
+    "stale_replies", "servers_dead",
 )
 
 
@@ -239,63 +239,31 @@ def _counts(result) -> dict[str, int]:
     return out
 
 
+def _crash_scenario(server: int) -> ScenarioConfig:
+    return _fault_scenario(
+        HPBD(nservers=2, redundancy="nway(2)"),
+        FaultConfig(
+            plan=FaultPlan(events=(ServerCrash(at=60_000.0, server=server),)),
+        ),
+    )
+
+
 class TestInjectedServerCrash:
-    def test_crash_completes_with_remap(self):
+    def test_crash_absorbed_by_mirror(self):
         """A memory server dying mid-run must not abort the workload:
-        its chunk remaps onto the survivor and the monitors stay clean."""
-        cfg = _fault_scenario(
-            HPBD(nservers=4),
-            FaultConfig(
-                plan=FaultPlan(events=(ServerCrash(at=60_000.0, server=1),)),
-                degraded_mode="remap",
-            ),
-        )
-        result = run_scenario(cfg, trace=True)
+        its nway(2) replica takes over and the monitors stay clean."""
+        result = run_scenario(_crash_scenario(0), trace=True)
         ctrs = _counts(result)
         assert result.invariant_violations == []
+        assert ctrs["write_failovers"] > 0
         assert ctrs["timeouts"] > 0
-        assert ctrs["remaps"] > 0
         assert ctrs["servers_dead"] == 1
         # Fault recovery shows up in the blame taxonomy, not "other".
         assert result.blame_usec["fault"] > 0
 
-    def test_crash_completes_with_disk_fallback(self):
-        cfg = _fault_scenario(
-            HPBD(nservers=4),
-            FaultConfig(
-                plan=FaultPlan(events=(ServerCrash(at=60_000.0, server=1),)),
-                degraded_mode="disk",
-            ),
-        )
-        result = run_scenario(cfg, trace=True)
-        ctrs = _counts(result)
-        assert result.invariant_violations == []
-        assert ctrs["disk_fallbacks"] > 0
-        assert ctrs["remaps"] == 0
-
-    def test_crash_absorbed_by_mirror(self):
-        cfg = _fault_scenario(
-            HPBD(nservers=2, mirror=True),
-            FaultConfig(
-                plan=FaultPlan(events=(ServerCrash(at=60_000.0, server=0),)),
-            ),
-        )
-        result = run_scenario(cfg, trace=True)
-        ctrs = _counts(result)
-        assert result.invariant_violations == []
-        assert ctrs["write_failovers"] > 0
-
     def test_same_seed_reproduces_identical_counters_and_blame(self):
         def once():
-            cfg = _fault_scenario(
-                HPBD(nservers=4),
-                FaultConfig(
-                    plan=FaultPlan(
-                        events=(ServerCrash(at=60_000.0, server=1),)
-                    ),
-                    degraded_mode="remap",
-                ),
-            )
+            cfg = _crash_scenario(1)
             result = run_scenario(cfg, trace=True)
             return _counts(result), result.blame_usec
 
@@ -396,7 +364,7 @@ class TestControlPlaneCorruption:
 
 class TestReplicaFailoverUnderCrash:
     def test_crashed_primary_reads_and_writes_fail_over(self, sim, fabric):
-        """White-box: crash the primary of a mirrored pair; reads must
+        """White-box: crash the primary of an nway(2) pair; reads must
         fail over to the replica and writes must complete on the
         replica alone — with credits and inflight fully reclaimed."""
         node = Node(sim, fabric, "client", mem_bytes=16 * MiB)
@@ -406,7 +374,7 @@ class TestReplicaFailoverUnderCrash:
             for i in range(2)
         ]
         client = HPBDClient(
-            sim, node, servers, total_bytes=32 * MiB, mirror=True,
+            sim, node, servers, total_bytes=32 * MiB, redundancy="nway(2)",
             request_timeout_usec=500.0, max_retries=1,
         )
         sim.run(until=sim.spawn(client.connect()))

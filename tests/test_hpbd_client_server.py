@@ -7,6 +7,7 @@ import pytest
 from repro.hpbd import Chunk, ChunkMapDistribution, HPBDClient, HPBDServer
 from repro.kernel import Node
 from repro.kernel.blockdev import Bio, READ, WRITE
+from repro.redundancy import ShardGroup, parse_policy
 from repro.simulator import Event
 from repro.units import KiB, MiB, SECTOR_SIZE
 
@@ -318,7 +319,8 @@ def _interleaved_chunks(total, chunk):
 class TestChunkBoundaryIO:
     """Satellite coverage: requests spanning two servers' chunks under
     a custom chunk map — byte-exact placement on each server's store
-    plus correct per-server counters, with and without mirroring."""
+    plus correct per-server counters, with and without ``nway(2)``
+    mirroring."""
 
     TOTAL = 8 * MiB
     CHUNK = 2 * MiB
@@ -332,12 +334,22 @@ class TestChunkBoundaryIO:
             )
             for i in range(2)
         ]
-        dist = ChunkMapDistribution(
-            self.TOTAL, 2, _interleaved_chunks(self.TOTAL, self.CHUNK)
-        )
+        chunks = _interleaved_chunks(self.TOTAL, self.CHUNK)
+        group = replicas = None
+        if mirror:
+            # nway(2) ring: the copy of server i's data sits on the peer
+            # behind the peer's own share.
+            share = self.TOTAL // 2
+            group = ShardGroup(parse_policy("nway(2)"), [0, 1], share)
+            replicas = [
+                Chunk(c.start, c.nbytes, 1 - c.server,
+                      share + c.server_offset)
+                for c in chunks
+            ]
+        dist = ChunkMapDistribution(self.TOTAL, 2, chunks, replicas)
         client = HPBDClient(
             sim, node, servers, total_bytes=self.TOTAL,
-            distribution=dist, mirror=mirror,
+            distribution=dist, redundancy=group,
         )
         connect(sim, client)
         return node, servers, client

@@ -1,8 +1,9 @@
-"""Tests for the mirroring/failover reliability extension.
+"""Tests for ``nway(2)`` mirroring with read failover.
 
 The paper scopes reliability out (§4.1, pointing at NRD [13] and RRMP
-[15] for mirroring/parity); this extension implements synchronous write
-mirroring with read failover on top of the HPBD protocol.
+[15] for mirroring/parity); the redundancy layer's ``nway(2)`` policy
+is that mirroring: synchronous writes to both copies and read failover
+on top of the HPBD protocol.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def mirrored(sim, fabric):
         for i in range(2)
     ]
     client = HPBDClient(
-        sim, node, servers, total_bytes=32 * MiB, mirror=True
+        sim, node, servers, total_bytes=32 * MiB, redundancy="nway(2)"
     )
     sim.run(until=sim.spawn(client.connect()))
     return node, servers, client
@@ -79,8 +80,9 @@ class TestMirroredWrites:
     def test_requires_two_servers(self, sim, fabric):
         node = Node(sim, fabric, "c", mem_bytes=16 * MiB)
         srv = HPBDServer(sim, fabric, "m", store_bytes=32 * MiB)
-        with pytest.raises(ValueError, match="two servers"):
-            HPBDClient(sim, node, [srv], total_bytes=8 * MiB, mirror=True)
+        with pytest.raises(ValueError, match="at least 2 servers"):
+            HPBDClient(sim, node, [srv], total_bytes=8 * MiB,
+                       redundancy="nway(2)")
 
     def test_store_must_cover_replica_area(self, sim, fabric):
         node = Node(sim, fabric, "c", mem_bytes=16 * MiB)
@@ -89,7 +91,8 @@ class TestMirroredWrites:
             for i in range(2)
         ]
         with pytest.raises(ValueError, match="replica"):
-            HPBDClient(sim, node, servers, total_bytes=32 * MiB, mirror=True)
+            HPBDClient(sim, node, servers, total_bytes=32 * MiB,
+                       redundancy="nway(2)")
 
 
 class TestReadFailover:
@@ -130,7 +133,7 @@ class TestMirrorEndToEnd:
     def test_full_scenario_with_mirroring(self):
         cfg = ScenarioConfig(
             [TestswapWorkload(size_bytes=24 * MiB)],
-            HPBD(nservers=2, mirror=True),
+            HPBD(nservers=2, redundancy="nway(2)"),
             mem_bytes=16 * MiB,
             swap_bytes=32 * MiB,
             mem_reserved_bytes=2 * MiB,
@@ -142,7 +145,8 @@ class TestMirrorEndToEnd:
         def run(mirror):
             cfg = ScenarioConfig(
                 [TestswapWorkload(size_bytes=24 * MiB)],
-                HPBD(nservers=2, mirror=mirror),
+                HPBD(nservers=2,
+                     redundancy="nway(2)" if mirror else "none"),
                 mem_bytes=16 * MiB,
                 swap_bytes=32 * MiB,
                 mem_reserved_bytes=2 * MiB,
@@ -173,7 +177,7 @@ class TestFailoverWithRegisterOnFly:
         ]
         client = HPBDClient(
             sim, node, servers, total_bytes=32 * MiB,
-            mirror=True, register_on_fly=True,
+            redundancy="nway(2)", register_on_fly=True,
         )
         sim.run(until=sim.spawn(client.connect()))
         return node, servers, client
@@ -213,7 +217,7 @@ class TestFailoverSpans:
             for i in range(2)
         ]
         client = HPBDClient(sim, node, servers, total_bytes=32 * MiB,
-                            mirror=True)
+                            redundancy="nway(2)")
         sim.run(until=sim.spawn(client.connect()))
         do_io(sim, client, WRITE, sector=0, nsectors=8)
         servers[0].ramdisk.size = 0

@@ -419,23 +419,6 @@ def _tenant(redundancy="rs(2,1)", swap=8 * MiB):
     )
 
 
-def test_config_rejects_redundancy_plus_mirror():
-    with pytest.raises(ValueError, match="exclusive"):
-        ClusterScenarioConfig(
-            tenants=[_tenant()], nservers=4, mirror=True,
-            mem_reserved_bytes=MiB,
-        )
-
-
-def test_config_rejects_degraded_mode():
-    with pytest.raises(ValueError, match="degraded"):
-        ClusterScenarioConfig(
-            tenants=[_tenant()], nservers=4,
-            faults=FaultConfig(degraded_mode="remap"),
-            mem_reserved_bytes=MiB,
-        )
-
-
 def test_config_rejects_narrow_fleet():
     with pytest.raises(ValueError, match="needs"):
         ClusterScenarioConfig(
