@@ -10,6 +10,10 @@
 
 Each experiment prints the same paper-vs-measured table its benchmark
 prints; ``--json`` additionally dumps the raw numbers.
+
+The gate commands (``critpath``, ``faults``, ``redundancy``,
+``cluster``, ``health``) share one tail, :func:`_finish_gate`: exit
+status 0 when the gate passed, 1 on any failure, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from . import experiments
 from .analysis import (
@@ -28,8 +32,9 @@ from .analysis import (
     render_table1,
     write_json_report,
 )
+from .analysis.export import clusters_to_csv, results_to_csv, series_to_csv
 from .results import ScenarioResult
-from .units import KiB
+from .units import GiB, KiB, MiB
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -41,7 +46,7 @@ def _scaled(results: list[ScenarioResult], scale: int) -> list[ScenarioResult]:
     ]
 
 
-def _run_fig01(scale: int) -> dict:
+def _run_fig01(scale: int) -> tuple[dict, str]:
     data = experiments.fig01_latency()
     rows = [
         [int(s), data["memcpy"][i], data["rdma_write"][i],
@@ -50,10 +55,10 @@ def _run_fig01(scale: int) -> dict:
     ]
     print("Fig. 1 — one-way latency (µs) vs size (B)")
     print(format_table(["size", "memcpy", "rdma_write", "ipoib", "gige"], rows))
-    return {k: list(map(float, v)) for k, v in data.items()}
+    return {k: list(map(float, v)) for k, v in data.items()}, series_to_csv(data)
 
 
-def _run_fig03(scale: int) -> dict:
+def _run_fig03(scale: int) -> tuple[dict, str]:
     data = experiments.fig03_registration()
     print("Fig. 3 — registration vs memcpy cost (µs)")
     print(format_table(
@@ -61,17 +66,20 @@ def _run_fig03(scale: int) -> dict:
         [[int(s), data["registration"][i], data["memcpy"][i]]
          for i, s in enumerate(data["sizes"])],
     ))
-    return {k: list(map(float, v)) for k, v in data.items()}
+    return {k: list(map(float, v)) for k, v in data.items()}, series_to_csv(data)
 
 
-def _run_fig05(scale: int) -> dict:
+def _run_fig05(scale: int) -> tuple[dict, str]:
     results = experiments.fig05_testswap(scale)
     print(f"Fig. 5 — testswap (scale=1/{scale}; seconds shown x{scale})")
     print(comparison_table(_scaled(results, scale), paper=experiments.PAPER_FIG5))
-    return {r.label: r.elapsed_sec * scale for r in results}
+    return (
+        {r.label: r.elapsed_sec * scale for r in results},
+        results_to_csv(results),
+    )
 
 
-def _run_fig06(scale: int) -> dict:
+def _run_fig06(scale: int) -> tuple[dict, str]:
     result = experiments.fig06_reqsize_run(scale)
     clusters = cluster_requests(result.request_trace, op="write")
     print(f"Fig. 6 — request clusters (testswap over HPBD, scale=1/{scale})")
@@ -83,35 +91,41 @@ def _run_fig06(scale: int) -> dict:
     return {
         "mean_write_request_kib": result.mean_write_request / KiB,
         "clusters": len(clusters),
-    }
+    }, clusters_to_csv(result.request_trace)
 
 
-def _run_fig07(scale: int) -> dict:
+def _run_fig07(scale: int) -> tuple[dict, str]:
     results = experiments.fig07_quicksort(scale)
     print(f"Fig. 7 — quick sort (scale=1/{scale}; seconds shown x{scale})")
     print(comparison_table(_scaled(results, scale), paper=experiments.PAPER_FIG7))
-    return {r.label: r.elapsed_sec * scale for r in results}
+    return (
+        {r.label: r.elapsed_sec * scale for r in results},
+        results_to_csv(results),
+    )
 
 
-def _run_fig08(scale: int) -> dict:
+def _run_fig08(scale: int) -> tuple[dict, str]:
     s = max(1, scale // 2)
     results = experiments.fig08_barnes(s)
     print(f"Fig. 8 — Barnes (scale=1/{s}; seconds shown x{s})")
     print(comparison_table(_scaled(results, s)))
-    return {r.label: r.elapsed_sec * s for r in results}
+    return (
+        {r.label: r.elapsed_sec * s for r in results},
+        results_to_csv(results),
+    )
 
 
-def _run_fig09(scale: int) -> dict:
+def _run_fig09(scale: int) -> tuple[dict, None]:
     cells = experiments.fig09_concurrent(scale)
     print(f"Fig. 9 — two concurrent quick sorts (scale=1/{scale})")
     print(format_table(
         ["device", "memory", "vs local"],
         [[c.label, c.memory, c.slowdown] for c in cells],
     ))
-    return {f"{c.label}@{c.memory}": c.slowdown for c in cells}
+    return {f"{c.label}@{c.memory}": c.slowdown for c in cells}, None
 
 
-def _run_fig10(scale: int) -> dict:
+def _run_fig10(scale: int) -> tuple[dict, None]:
     results = experiments.fig10_servers(scale)
     base = results[0][1]
     print(f"Fig. 10 — quick sort vs #servers (scale=1/{scale})")
@@ -119,15 +133,21 @@ def _run_fig10(scale: int) -> dict:
         ["servers", f"time (s, x{scale})", "vs 1 server"],
         [[n, r.elapsed_sec * scale, r.slowdown_vs(base)] for n, r in results],
     ))
-    return {str(n): r.elapsed_sec * scale for n, r in results}
+    return {str(n): r.elapsed_sec * scale for n, r in results}, None
 
 
-def _run_table1(scale: int) -> dict:
+def _run_table1(scale: int) -> tuple[dict, None]:
     print(render_table1())
-    return {"systems": 10}
+    return {"systems": 10}, None
 
 
-EXPERIMENTS: dict[str, tuple[Callable[[int], dict], str]] = {
+#: name -> (runner, description).  A runner prints its table and returns
+#: ``(payload, csv)``: the JSON-ready numbers and the plot-ready CSV text
+#: of the same run (``None`` when the experiment has no CSV shape), so
+#: ``run --csv`` never simulates a figure twice.
+EXPERIMENTS: dict[
+    str, tuple[Callable[[int], tuple[dict, str | None]], str]
+] = {
     "table1": (_run_table1, "related-work taxonomy"),
     "fig01": (_run_fig01, "latency vs size microbenchmark"),
     "fig03": (_run_fig03, "registration vs memcpy cost"),
@@ -140,40 +160,110 @@ EXPERIMENTS: dict[str, tuple[Callable[[int], dict], str]] = {
 }
 
 
-def _write_csv(name: str, scale: int, outdir: str) -> None:
-    """Write the plot-ready CSV for one experiment, if it has one."""
+def _run_experiments(args) -> int:
+    """``repro run``: one experiment (or all); optional JSON and CSV."""
     from pathlib import Path
 
-    from .analysis.export import (
-        clusters_to_csv,
-        results_to_csv,
-        series_to_csv,
-    )
+    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    payload: dict[str, dict] = {}
+    for name in names:
+        fn, _desc = EXPERIMENTS[name]
+        payload[name], csv = fn(args.scale)
+        if args.csv and csv is not None:
+            path = Path(args.csv) / f"{name}.csv"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(csv)
+            print(f"wrote {path}")
+        print()
+    if args.json:
+        write_json_report(args.json, {"scale": args.scale, "results": payload})
+        print(f"wrote {args.json}")
+    return 0
 
-    path = Path(outdir) / f"{name}.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if name == "fig01":
-        path.write_text(series_to_csv(experiments.fig01_latency()))
-    elif name == "fig03":
-        path.write_text(series_to_csv(experiments.fig03_registration()))
-    elif name == "fig05":
-        path.write_text(results_to_csv(experiments.fig05_testswap(scale)))
-    elif name == "fig06":
-        run = experiments.fig06_reqsize_run(scale)
-        path.write_text(clusters_to_csv(run.request_trace))
-    elif name == "fig07":
-        path.write_text(results_to_csv(experiments.fig07_quicksort(scale)))
-    elif name == "fig08":
-        path.write_text(
-            results_to_csv(experiments.fig08_barnes(max(1, scale // 2)))
-        )
+
+def _finish_gate(
+    args: argparse.Namespace,
+    results: Mapping[str, ScenarioResult],
+    errors: list[str],
+    payload: dict,
+    replay: Callable[[], bool] | None = None,
+    trace=None,
+) -> int:
+    """The tail every gate command shares: judge, replay, report.
+
+    ``results`` names the runs the gate made; the invariant violations
+    of all of them are printed once (each detail line carries its run's
+    name when there are several).  Under ``--replay-check``, ``replay``
+    reruns the same seed and returns whether its fingerprint matched.
+    ``errors`` holds the command's own failed checks, printed as
+    ``ERROR:`` lines on stderr.  ``-o`` writes ``trace`` as Chrome
+    trace-event JSON; ``--json`` writes ``payload`` plus
+    ``violations`` and ``status`` through :func:`write_json_report`.
+    Returns the exit status: 0 when every check passed, else 1.
+    """
+    named = [
+        (name, v)
+        for name, result in results.items()
+        for v in result.invariant_violations
+    ]
+    violations = [v for _name, v in named]
+    if violations:
+        print(f"ERROR: {len(violations)} invariant violations:",
+              file=sys.stderr)
+        for name, v in named[:20]:
+            run = f"{name}: " if len(results) > 1 else ""
+            print(
+                f"  {run}t={v['t_usec']:.1f} {v['monitor']} "
+                f"[{v['component']}]: {v['message']}",
+                file=sys.stderr,
+            )
     else:
-        return
-    print(f"wrote {path}")
+        print("invariant monitors: clean (0 violations)")
+    if getattr(args, "replay_check", False):
+        if replay():
+            print("replay check: second run identical")
+        else:
+            errors = [*errors, "replay diverged for the same seed"]
+    for error in errors:
+        print(f"ERROR: {error}", file=sys.stderr)
+    status = 1 if violations or errors else 0
+    if getattr(args, "output", None):
+        from .obs import write_chrome_trace
+
+        write_chrome_trace(trace, args.output)
+        print(f"wrote {args.output}  (load in Perfetto / chrome://tracing)")
+    if args.json:
+        write_json_report(
+            args.json, {**payload, "violations": violations, "status": status}
+        )
+        print(f"wrote {args.json}")
+    return status
 
 
 _TRACE_DEVICES = ("hpbd", "nbd-ipoib", "nbd-gige", "disk")
 _TRACE_WORKLOADS = ("quicksort", "testswap")
+
+
+def _trace_config(args, device=None, memory: int = 512 * MiB):
+    """The ``trace``/``critpath`` scenario: ``--workload`` at
+    ``--scale`` over ``--device`` (or over ``device`` with ``memory``
+    of RAM, for the local-memory baseline)."""
+    from .config import HPBD, NBD, LocalDisk
+    from .experiments import _scenario
+    from .workloads import QuicksortWorkload, TestswapWorkload
+
+    if device is None:
+        device = {
+            "hpbd": HPBD(),
+            "nbd-ipoib": NBD("ipoib"),
+            "nbd-gige": NBD("gige"),
+            "disk": LocalDisk(),
+        }[args.device]
+    if args.workload == "quicksort":
+        workload = QuicksortWorkload(nelems=256 * 1024 * 1024 // args.scale)
+    else:
+        workload = TestswapWorkload(size_bytes=GiB // args.scale)
+    return _scenario([workload], device, args.scale, memory, GiB)
 
 
 def _run_trace(args) -> int:
@@ -184,34 +274,14 @@ def _run_trace(args) -> int:
         measured_network_fraction,
         wire_crosscheck,
     )
-    from .config import HPBD, LocalDisk, LocalMemory, NBD
-    from .experiments import _scenario
+    from .config import LocalMemory
     from .net.fabrics import IB_DEFAULT
     from .obs import spans_to_csv, write_chrome_trace
     from .runner import run_scenario
-    from .units import GiB, MiB
-    from .workloads import QuicksortWorkload, TestswapWorkload
 
-    device = {
-        "hpbd": HPBD(),
-        "nbd-ipoib": NBD("ipoib"),
-        "nbd-gige": NBD("gige"),
-        "disk": LocalDisk(),
-    }[args.device]
-    scale = args.scale
-
-    def workload():
-        if args.workload == "quicksort":
-            return QuicksortWorkload(nelems=256 * 1024 * 1024 // scale)
-        return TestswapWorkload(size_bytes=GiB // scale)
-
-    print(f"tracing {args.workload} over {args.device} (scale=1/{scale})...")
-    result = run_scenario(
-        _scenario([workload()], device, scale, 512 * MiB, GiB), trace=True
-    )
-    base = run_scenario(
-        _scenario([workload()], LocalMemory(), scale, 2 * GiB, GiB)
-    )
+    print(f"tracing {args.workload} over {args.device} (scale=1/{args.scale})...")
+    result = run_scenario(_trace_config(args), trace=True)
+    base = run_scenario(_trace_config(args, LocalMemory(), 2 * GiB))
     rows = measured_breakdown(result, base)
     print(f"{result.summary()}   ({len(result.trace)} trace events)")
     print()
@@ -241,9 +311,8 @@ def _run_trace(args) -> int:
 def _run_critpath(args) -> int:
     """``repro critpath``: per-request blame + invariant audit.
 
-    Exit status is nonzero when the trace has orphan request-path spans
-    or any invariant monitor recorded a violation — CI runs this as the
-    traced smoke job.
+    Fails when the trace has orphan request-path spans or any invariant
+    monitor recorded a violation — CI runs this as the traced smoke job.
     """
     from .analysis.critpath import (
         aggregate_blame,
@@ -253,92 +322,51 @@ def _run_critpath(args) -> int:
         request_paths,
         slowest,
     )
-    from .config import HPBD, LocalDisk, NBD
-    from .experiments import _scenario
-    from .obs import write_chrome_trace
     from .runner import run_scenario
-    from .units import GiB, MiB
-    from .workloads import QuicksortWorkload, TestswapWorkload
-
-    device = {
-        "hpbd": HPBD(),
-        "nbd-ipoib": NBD("ipoib"),
-        "nbd-gige": NBD("gige"),
-        "disk": LocalDisk(),
-    }[args.device]
-    scale = args.scale
-    if args.workload == "quicksort":
-        workload = QuicksortWorkload(nelems=256 * 1024 * 1024 // scale)
-    else:
-        workload = TestswapWorkload(size_bytes=GiB // scale)
 
     print(
         f"critical-path analysis: {args.workload} over {args.device} "
-        f"(scale=1/{scale})..."
+        f"(scale=1/{args.scale})..."
     )
-    result = run_scenario(
-        _scenario([workload], device, scale, 512 * MiB, GiB), trace=True
-    )
+    result = run_scenario(_trace_config(args), trace=True)
     paths = request_paths(result.trace)
     orphans = orphan_spans(result.trace)
-    violations = result.invariant_violations
     print(format_critpath(paths, top=args.top))
     if result.monitor_watermarks:
         print("watermarks:")
         for key in sorted(result.monitor_watermarks):
             print(f"  {key} = {result.monitor_watermarks[key]:g}")
-    status = 0
+    errors = []
     if orphans:
         cats = sorted({s.cat for s in orphans})
-        print(
-            f"ERROR: {len(orphans)} request-path spans without req_id "
-            f"(cats: {', '.join(cats)})",
-            file=sys.stderr,
+        errors.append(
+            f"{len(orphans)} request-path spans without req_id "
+            f"(cats: {', '.join(cats)})"
         )
-        status = 1
-    if violations:
-        print(
-            f"ERROR: {len(violations)} invariant violations:", file=sys.stderr
-        )
-        for v in violations[:20]:
-            print(
-                f"  t={v['t_usec']:.1f} {v['monitor']} "
-                f"[{v['component']}]: {v['message']}",
-                file=sys.stderr,
-            )
-        status = 1
-    if not orphans and not violations:
-        print("invariant monitors: clean (0 violations, 0 orphan spans)")
-    if args.output:
-        write_chrome_trace(result.trace, args.output)
-        print(f"wrote {args.output}  (load in Perfetto / chrome://tracing)")
-    if args.json:
-        agg = aggregate_blame(paths)
-        payload = {
-            "device": args.device,
-            "workload": args.workload,
-            "scale": scale,
-            "requests": len(paths),
-            "blame_usec": agg,
-            **blame_split(agg),
-            "orphan_spans": len(orphans),
-            "violations": violations,
-            "watermarks": result.monitor_watermarks,
-            "slowest": [
-                {
-                    "req_id": p.req_id,
-                    "op": p.op,
-                    "nbytes": p.nbytes,
-                    "e2e_usec": p.e2e,
-                    "queue_wait_usec": p.queue_wait,
-                    "blame_usec": p.blame,
-                }
-                for p in slowest(paths, args.top)
-            ],
-        }
-        write_json_report(args.json, payload)
-        print(f"wrote {args.json}")
-    return status
+    agg = aggregate_blame(paths)
+    payload = {
+        "device": args.device,
+        "workload": args.workload,
+        "scale": args.scale,
+        "requests": len(paths),
+        "blame_usec": agg,
+        **blame_split(agg),
+        "orphan_spans": len(orphans),
+        "watermarks": result.monitor_watermarks,
+        "slowest": [
+            {
+                "req_id": p.req_id,
+                "op": p.op,
+                "nbytes": p.nbytes,
+                "e2e_usec": p.e2e,
+                "queue_wait_usec": p.queue_wait,
+                "blame_usec": p.blame,
+            }
+            for p in slowest(paths, args.top)
+        ],
+    }
+    return _finish_gate(args, {"run": result}, errors, payload,
+                        trace=result.trace)
 
 
 _PLACEMENT_POLICIES = ("blocking", "least_loaded", "hash")
@@ -356,19 +384,17 @@ def _run_faults(args) -> int:
     Runs one traced testswap scenario over two ``nway(2)`` memory
     servers with a scheduled ``ServerCrash`` of the first, then reports
     the recovery counters, the fault/retry blame shares, and the
-    invariant monitors.  Exit status is nonzero on any invariant
-    violation, or — under ``--expect-recovery`` — when the run
-    recovered without actually exercising the machinery (no failover
-    or no timeout), or — under ``--replay-check`` — when a second run
-    of the same seed diverges.
+    invariant monitors.  Fails on any invariant violation, or — under
+    ``--expect-recovery`` — when the run recovered without actually
+    exercising the machinery (no failover or no timeout), or — under
+    ``--replay-check`` — when a second run of the same seed diverges in
+    counters or blame.
     """
     from .analysis.critpath import aggregate_blame, blame_split, request_paths
     from .config import FaultConfig, HPBD
     from .experiments import _scenario
     from .faults import FaultPlan, ServerCrash
-    from .obs import write_chrome_trace
     from .runner import run_scenario
-    from .units import GiB, MiB
     from .workloads import TestswapWorkload
 
     scale = args.scale
@@ -390,25 +416,23 @@ def _run_faults(args) -> int:
         cfg.seed = args.seed
         return run_scenario(cfg, trace=True)
 
-    def recovery_counters(result: ScenarioResult) -> dict[str, int]:
-        out = {}
+    def fingerprint(result: ScenarioResult) -> tuple[dict, dict]:
+        """Recovery counters (plus every ``fault.*`` counter) and blame."""
+        ctrs = {}
         for key in _RECOVERY_COUNTERS:
             c = result.registry.get(f"hpbd0.{key}")
-            out[key] = int(c.total) if c is not None else 0
+            ctrs[key] = int(c.total) if c is not None else 0
         for name in sorted(result.registry.names()):
             if name.startswith("fault."):
-                out[name] = int(result.registry.get(name).total)
-        return out
+                ctrs[name] = int(result.registry.get(name).total)
+        return ctrs, aggregate_blame(request_paths(result.trace))
 
     print(
         f"fault run: testswap over hpbd nway(2), crash at "
         f"t={args.crash_at:g} us (scale=1/{scale}, seed={args.seed})..."
     )
     result = run_once()
-    ctrs = recovery_counters(result)
-    paths = request_paths(result.trace)
-    agg = aggregate_blame(paths)
-    violations = result.invariant_violations
+    ctrs, agg = fingerprint(result)
     print(result.summary())
     print()
     print("recovery / fault counters:")
@@ -420,78 +444,44 @@ def _run_faults(args) -> int:
         print("blame shares:")
         for label in ("fault", "retry"):
             print(f"  {label:<8s} {agg.get(label, 0.0) / total:6.2%}")
-    status = 0
-    if violations:
-        print(
-            f"ERROR: {len(violations)} invariant violations:", file=sys.stderr
-        )
-        for v in violations[:20]:
-            print(
-                f"  t={v['t_usec']:.1f} {v['monitor']} "
-                f"[{v['component']}]: {v['message']}",
-                file=sys.stderr,
-            )
-        status = 1
-    else:
-        print("invariant monitors: clean (0 violations)")
+    errors = []
     if args.expect_recovery:
         recovered = ctrs["failovers"] + ctrs["write_failovers"]
         detected = ctrs["retries"] + ctrs["timeouts"]
         if recovered == 0 or detected == 0:
-            print(
-                f"ERROR: expected recovery activity, got {detected} "
-                f"timeouts/retries and {recovered} failovers",
-                file=sys.stderr,
+            errors.append(
+                f"expected recovery activity, got {detected} "
+                f"timeouts/retries and {recovered} failovers"
             )
-            status = 1
-    if args.replay_check:
-        second = run_once()
-        ctrs2 = recovery_counters(second)
-        agg2 = aggregate_blame(request_paths(second.trace))
-        if ctrs2 != ctrs or agg2 != agg:
-            print(
-                "ERROR: replay diverged for the same seed "
-                f"(counters equal: {ctrs2 == ctrs}, "
-                f"blame equal: {agg2 == agg})",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print("replay check: second run identical (counters + blame)")
-    if args.output:
-        write_chrome_trace(result.trace, args.output)
-        print(f"wrote {args.output}  (load in Perfetto / chrome://tracing)")
-    if args.json:
-        payload = {
-            "redundancy": "nway(2)",
-            "scale": scale,
-            "seed": args.seed,
-            "crash_at_usec": args.crash_at,
-            "timeout_usec": args.timeout,
-            "elapsed_usec": result.elapsed_usec,
-            "counters": ctrs,
-            "blame_usec": agg,
-            **blame_split(agg),
-            "violations": violations,
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.json}")
-    return status
+    payload = {
+        "redundancy": "nway(2)",
+        "scale": scale,
+        "seed": args.seed,
+        "crash_at_usec": args.crash_at,
+        "timeout_usec": args.timeout,
+        "elapsed_usec": result.elapsed_usec,
+        "counters": ctrs,
+        "blame_usec": agg,
+        **blame_split(agg),
+    }
+    return _finish_gate(
+        args, {"run": result}, errors, payload,
+        replay=lambda: fingerprint(run_once()) == (ctrs, agg),
+        trace=result.trace,
+    )
 
 
-def _redundancy_default_crashes(pol, ncrashes: int):
+def _redundancy_crash_schedule(pol) -> tuple[tuple[float, int], ...]:
     """Crash schedule aimed at the quicksort read frontier (see
     :func:`~repro.experiments.cluster_redundancy_config`): each outage
     lands on the shard being swept at that moment, so the degraded
-    path is provably exercised, not just the rebuild."""
+    path is provably exercised, not just the rebuild.  ``--crashes N``
+    runs its first N entries."""
     if pol.kind == "nway":
-        picks = ((90_000.0, 2), (200_000.0, 4))
-    elif pol.k == 2:  # two wide data shards: the frontier crosses late
-        picks = ((140_000.0, 1), (60_000.0, 0))
-    else:
-        picks = ((120_000.0, 2), (200_000.0, 3))
-    return picks[:ncrashes]
+        return ((90_000.0, 2), (200_000.0, 4))
+    if pol.k == 2:  # two wide data shards: the frontier crosses late
+        return ((140_000.0, 1), (60_000.0, 0))
+    return ((120_000.0, 2), (200_000.0, 3))
 
 
 def _run_redundancy(args) -> int:
@@ -500,14 +490,14 @@ def _run_redundancy(args) -> int:
 
     Runs one quicksort tenant whose swap area is protected by
     ``--policy``, with ``--crashes`` mid-run server crashes (wipe +
-    40 ms outage + restart).  Exit status is nonzero on any invariant
-    violation, or — under ``--expect-recovery`` — when the run did not
-    actually exercise the machinery: every lost member rebuilt and
-    nothing left pending, degraded service observed while members were
-    down (rs reads reconstruct; nway reads fail over), repair traffic
-    within 10% of lost x (k+m)/k, memory overhead within 0.05 of the
-    policy's nominal, and the throttle contended — or, under
-    ``--replay-check``, when a second run of the same seed diverges.
+    40 ms outage + restart).  Fails on any invariant violation, or —
+    under ``--expect-recovery`` — when the run did not actually
+    exercise the machinery: every lost member rebuilt and nothing left
+    pending, degraded service observed while members were down (rs
+    reads reconstruct; nway reads fail over), repair traffic within 10%
+    of lost x (k+m)/k, memory overhead within 0.05 of the policy's
+    nominal, and the throttle contended — or, under ``--replay-check``,
+    when a second run of the same seed diverges.
     """
     from .experiments import cluster_redundancy_config
     from .redundancy.policy import parse_policy
@@ -523,17 +513,20 @@ def _run_redundancy(args) -> int:
         print("ERROR: pick a redundant policy (nway(r) or rs(k,m))",
               file=sys.stderr)
         return 2
-    if args.crashes > pol.m:
+    schedule = _redundancy_crash_schedule(pol)
+    limit = min(pol.m, len(schedule))
+    if not 0 <= args.crashes <= limit:
         # Staggered outages heal in between, but keep the gate honest:
         # the schedule never exceeds the policy's concurrent tolerance,
-        # so > m crashes only make sense with a wider policy.
+        # and a count the schedule cannot honour must not pass quietly.
         print(
-            f"ERROR: {pol.label} tolerates {pol.m} concurrent "
-            f"failures; --crashes {args.crashes} exceeds that",
+            f"ERROR: --crashes {args.crashes} outside 0..{limit}: "
+            f"{pol.label} tolerates {pol.m} concurrent failures and the "
+            f"crash schedule has {len(schedule)} entries",
             file=sys.stderr,
         )
         return 2
-    crashes = _redundancy_default_crashes(pol, args.crashes)
+    crashes = schedule[:args.crashes]
 
     def run_once():
         cfg = cluster_redundancy_config(
@@ -570,22 +563,7 @@ def _run_redundancy(args) -> int:
           f"{fmt_bytes(repair.get('lost_bytes', 0))} lost, "
           f"{repair.get('pending', 0)} pending, "
           f"{repair.get('throttle_waits', 0)} throttle waits")
-    status = 0
-    violations = list(result.invariant_violations)
-    if violations:
-        print(
-            f"ERROR: {len(violations)} invariant violations:",
-            file=sys.stderr,
-        )
-        for v in violations[:20]:
-            print(
-                f"  t={v['t_usec']:.1f} {v['monitor']} "
-                f"[{v['component']}]: {v['message']}",
-                file=sys.stderr,
-            )
-        status = 1
-    else:
-        print("invariant monitors: clean (0 violations)")
+    errors = []
     if args.expect_recovery:
         problems = []
         if repair.get("rebuilds", 0) < len(crashes):
@@ -617,40 +595,23 @@ def _run_redundancy(args) -> int:
             )
         if not repair.get("throttle_waits", 0):
             problems.append("migration throttle never contended")
-        if problems:
-            for p in problems:
-                print(f"ERROR: expected recovery: {p}", file=sys.stderr)
-            status = 1
-        else:
+        errors = [f"expected recovery: {p}" for p in problems]
+        if not problems:
             print("recovery gate: rebuilt, degraded service observed, "
                   "traffic and overhead within bounds")
-    if args.replay_check:
-        second = run_once()
-        if second.fairness_report() != result.fairness_report():
-            print(
-                "ERROR: replay diverged for the same seed",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print("replay check: second run identical (full report)")
-    if args.json:
-        payload = {
-            "policy": pol.label,
-            "nservers": args.nservers,
-            "seed": args.seed,
-            "crashes": [
-                {"at_usec": at, "server": s} for at, s in crashes
-            ],
-            "throttle_mib_s": args.throttle_mib_s,
-            "elapsed_usec": result.elapsed_usec,
-            "report": report,
-            "violations": violations,
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.json}")
-    return status
+    payload = {
+        "policy": pol.label,
+        "nservers": args.nservers,
+        "seed": args.seed,
+        "crashes": [{"at_usec": at, "server": s} for at, s in crashes],
+        "throttle_mib_s": args.throttle_mib_s,
+        "elapsed_usec": result.elapsed_usec,
+        "report": report,
+    }
+    return _finish_gate(
+        args, {"run": result}, errors, payload,
+        replay=lambda: run_once().fairness_report() == result.fairness_report(),
+    )
 
 
 def _run_cluster(args) -> int:
@@ -658,12 +619,12 @@ def _run_cluster(args) -> int:
 
     Runs the three-tenant weighted-fair scenario (and, unless
     ``--skip-baseline``, the QoS-off unfair baseline) and prints the
-    per-tenant fairness report.  Exit status is nonzero on any
-    invariant violation, when the fair run's completion-time spread
-    exceeds ``--max-spread``, when the baseline's spread falls below
-    ``--min-baseline-spread`` (the contrast the QoS machinery must
-    create), or — under ``--replay-check`` — when a second run of the
-    same seed diverges.
+    per-tenant fairness report.  Fails on any invariant violation, when
+    the fair run's completion-time spread exceeds ``--max-spread``,
+    when the baseline's spread falls below ``--min-baseline-spread``
+    (the contrast the QoS machinery must create), or — under
+    ``--replay-check`` — when a second fair run of the same seed gives
+    a different fairness report.
     """
     from .experiments import cluster_fair_config, cluster_unfair_config
     from .runner import run_scenario
@@ -708,67 +669,29 @@ def _run_cluster(args) -> int:
     )
     fair = run_fair()
     show(fair, "fair (qos on)")
-    status = 0
-    violations = list(fair.invariant_violations)
+    results = {"fair": fair}
+    errors = []
     if fair.spread > args.max_spread:
-        print(
-            f"ERROR: fair spread {fair.spread:.2f} exceeds "
-            f"--max-spread {args.max_spread:.2f}",
-            file=sys.stderr,
+        errors.append(
+            f"fair spread {fair.spread:.2f} exceeds "
+            f"--max-spread {args.max_spread:.2f}"
         )
-        status = 1
-    unfair = None
+    payload = {"scale": scale, "seed": args.seed,
+               "fair": fair.fairness_report()}
     if not args.skip_baseline:
         print()
-        unfair = run_unfair()
+        unfair = results["baseline"] = run_unfair()
         show(unfair, "baseline (qos off, one thrashing tenant)")
-        violations += unfair.invariant_violations
         if unfair.spread < args.min_baseline_spread:
-            print(
-                f"ERROR: baseline spread {unfair.spread:.2f} below "
-                f"--min-baseline-spread {args.min_baseline_spread:.2f}",
-                file=sys.stderr,
+            errors.append(
+                f"baseline spread {unfair.spread:.2f} below "
+                f"--min-baseline-spread {args.min_baseline_spread:.2f}"
             )
-            status = 1
-    if violations:
-        print(
-            f"ERROR: {len(violations)} invariant violations:",
-            file=sys.stderr,
-        )
-        for v in violations[:20]:
-            print(
-                f"  t={v['t_usec']:.1f} {v['monitor']} "
-                f"[{v['component']}]: {v['message']}",
-                file=sys.stderr,
-            )
-        status = 1
-    else:
-        print("invariant monitors: clean (0 violations)")
-    if args.replay_check:
-        second = run_fair()
-        if second.fairness_report() != fair.fairness_report():
-            print(
-                "ERROR: replay diverged for the same seed "
-                "(fairness reports differ)",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print("replay check: second fair run identical")
-    if args.json:
-        payload = {
-            "scale": scale,
-            "seed": args.seed,
-            "fair": fair.fairness_report(),
-            "violations": violations,
-            "status": status,
-        }
-        if unfair is not None:
-            payload["unfair_baseline"] = unfair.fairness_report()
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.json}")
-    return status
+        payload["unfair_baseline"] = unfair.fairness_report()
+    return _finish_gate(
+        args, results, errors, payload,
+        replay=lambda: run_fair().fairness_report() == payload["fair"],
+    )
 
 
 def _plan_degraded_servers(faults) -> list[str]:
@@ -792,6 +715,11 @@ def _plan_degraded_servers(faults) -> list[str]:
     return names
 
 
+def _health_fingerprint(result: ScenarioResult) -> str:
+    """The byte form ``health --replay-check`` compares."""
+    return json.dumps(result.health, sort_keys=True)
+
+
 def _run_health_mitigate(args) -> int:
     """``repro health --mitigate``: the limping-server acceptance run.
 
@@ -806,7 +734,6 @@ def _run_health_mitigate(args) -> int:
     """
     from .analysis.critpath import aggregate_blame, request_paths
     from .experiments import cluster_failslow_mitigated_config
-    from .obs import write_chrome_trace
     from .runner import run_scenario
 
     scale = args.scale
@@ -842,15 +769,6 @@ def _run_health_mitigate(args) -> int:
         runs[name] = run_scenario(
             make_cfg(slow, mitigate), trace=traced or bool(args.output)
         )
-    status = 0
-    for name, result in runs.items():
-        violations = result.invariant_violations
-        if violations:
-            print(
-                f"ERROR: {name}: {len(violations)} invariant violations",
-                file=sys.stderr,
-            )
-            status = 1
     healthy = worst_p99(runs["healthy"])
     unmitigated = worst_p99(runs["unmitigated"])
     mitigated = worst_p99(runs["mitigated"])
@@ -894,78 +812,50 @@ def _run_health_mitigate(args) -> int:
         f"hedge_waste={blame.get('hedge_waste', 0.0):.1f} us, "
         f"server_slow={blame.get('server_slow', 0.0):.1f} us"
     )
+    errors = []
     if unmitigated < args.p99_ratio * healthy:
-        print(
-            f"ERROR: unmitigated run did not breach the gate "
+        errors.append(
+            f"unmitigated run did not breach the gate "
             f"({unmitigated:.1f} < {args.p99_ratio}x {healthy:.1f}) — "
-            f"the injected fault is too mild to prove mitigation",
-            file=sys.stderr,
+            f"the injected fault is too mild to prove mitigation"
         )
-        status = 1
     if mitigated >= args.p99_ratio * healthy:
-        print(
-            f"ERROR: mitigated p99 {mitigated:.1f} us >= "
-            f"{args.p99_ratio}x healthy {healthy:.1f} us",
-            file=sys.stderr,
+        errors.append(
+            f"mitigated p99 {mitigated:.1f} us >= "
+            f"{args.p99_ratio}x healthy {healthy:.1f} us"
         )
-        status = 1
     if counters["hedges"] == 0 or counters["hedge_wins"] == 0:
-        print(
-            "ERROR: mitigated run fired no winning hedges",
-            file=sys.stderr,
-        )
-        status = 1
+        errors.append("mitigated run fired no winning hedges")
     if hedge_win_usec <= 0.0:
-        print(
-            "ERROR: critical-path blame shows no hedge-win time",
-            file=sys.stderr,
-        )
-        status = 1
-    if status == 0:
+        errors.append("critical-path blame shows no hedge-win time")
+    if not errors:
         print(
             f"mitigation gate: mitigated {mitigated / healthy:.2f}x vs "
             f"unmitigated {unmitigated / healthy:.2f}x healthy "
             f"(threshold {args.p99_ratio}x)"
         )
-    if args.replay_check:
-        second = run_scenario(make_cfg(True, True), trace=True)
-        a = json.dumps(runs["mitigated"].health, sort_keys=True)
-        b = json.dumps(second.health, sort_keys=True)
-        if a != b:
-            print(
-                "ERROR: replay diverged for the same seed "
-                "(mitigated health reports differ)",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print(
-                "replay check: second mitigated run's health report "
-                "byte-identical"
-            )
-    if args.output:
-        write_chrome_trace(runs["mitigated"].trace, args.output)
-        print(f"wrote {args.output}  (load in Perfetto / chrome://tracing)")
-    if args.json:
-        payload = {
-            "scenario": "cluster-failslow-mitigated",
-            "scale": scale,
-            "seed": args.seed,
-            "nservers": args.nservers,
-            "p99_ratio_gate": args.p99_ratio,
-            "p99_usec": {
-                "healthy": healthy,
-                "unmitigated": unmitigated,
-                "mitigated": mitigated,
-            },
-            "counters": counters,
-            "blame_usec": blame,
-            "health": runs["mitigated"].health,
-            "status": status,
-        }
-        write_json_report(args.json, payload)
-        print(f"wrote {args.json}")
-    return status
+    payload = {
+        "scenario": "cluster-failslow-mitigated",
+        "scale": scale,
+        "seed": args.seed,
+        "nservers": args.nservers,
+        "p99_ratio_gate": args.p99_ratio,
+        "p99_usec": {
+            "healthy": healthy,
+            "unmitigated": unmitigated,
+            "mitigated": mitigated,
+        },
+        "counters": counters,
+        "blame_usec": blame,
+        "health": runs["mitigated"].health,
+    }
+    return _finish_gate(
+        args, runs, errors, payload,
+        replay=lambda: _health_fingerprint(
+            run_scenario(make_cfg(True, True), trace=True)
+        ) == _health_fingerprint(runs["mitigated"]),
+        trace=runs["mitigated"].trace,
+    )
 
 
 def _run_health(args) -> int:
@@ -975,16 +865,14 @@ def _run_health(args) -> int:
     mid-run ``LinkDegrade`` on mem1) — or, under ``--healthy``, the
     fault-free fair scenario — with the always-on SLO engine and
     anomaly detector, then prints the per-server / per-tenant health
-    report.  Exit status is nonzero on invariant violations or when
-    the health gate fails: by default any fail-slow flag or SLO breach
-    fails the gate; under ``--expect-breach`` the gate inverts and
-    fails unless the detector flagged exactly the degraded server and
-    at least one latency SLO breach was recorded.  ``--replay-check``
-    fails when a second run of the same seed yields a byte-different
-    report.
+    report.  Fails on invariant violations or when the health gate
+    fails: by default any fail-slow flag or SLO breach fails the gate;
+    under ``--expect-breach`` the gate inverts and fails unless the
+    detector flagged exactly the degraded server and at least one
+    latency SLO breach was recorded.  ``--replay-check`` fails when a
+    second run of the same seed yields a byte-different report.
     """
     from .experiments import cluster_failslow_config, cluster_fair_config
-    from .obs import write_chrome_trace
     from .runner import run_scenario
 
     if args.mitigate:
@@ -1061,87 +949,50 @@ def _run_health(args) -> int:
             )
         if len(timeline) > args.top:
             print(f"  ... {len(timeline) - args.top} more")
-    status = 0
-    violations = result.invariant_violations
-    if violations:
-        print(
-            f"ERROR: {len(violations)} invariant violations:",
-            file=sys.stderr,
-        )
-        for v in violations[:20]:
-            print(
-                f"  t={v['t_usec']:.1f} {v['monitor']} "
-                f"[{v['component']}]: {v['message']}",
-                file=sys.stderr,
-            )
-        status = 1
-    else:
-        print("invariant monitors: clean (0 violations)")
     flagged = report["flagged_servers"]
     lat_breaches = [
         b for b in timeline
         if b["slo"] == "latency_p99" and b["edge"] == "start"
     ]
+    errors = []
     if args.expect_breach:
         if sorted(flagged) != sorted(degraded):
-            print(
-                f"ERROR: expected fail-slow flag on exactly "
-                f"{degraded}, detector flagged {flagged}",
-                file=sys.stderr,
+            errors.append(
+                f"expected fail-slow flag on exactly "
+                f"{degraded}, detector flagged {flagged}"
             )
-            status = 1
         if not lat_breaches:
-            print(
-                "ERROR: expected at least one latency_p99 SLO breach, "
-                "got none",
-                file=sys.stderr,
+            errors.append(
+                "expected at least one latency_p99 SLO breach, got none"
             )
-            status = 1
-        if status == 0:
+        if not errors:
             print(
                 f"expected breach confirmed: flagged {flagged}, "
                 f"{len(lat_breaches)} latency breach(es), "
                 f"victims: {', '.join(report['breached_tenants'])}"
             )
     elif flagged or report["breached_tenants"]:
-        print(
-            f"ERROR: health gate failed — flagged servers {flagged}, "
-            f"breached tenants {report['breached_tenants']}",
-            file=sys.stderr,
+        errors.append(
+            f"health gate failed — flagged servers {flagged}, "
+            f"breached tenants {report['breached_tenants']}"
         )
-        status = 1
     else:
         print("health gate: all SLOs met, no fail-slow flags")
-    if args.replay_check:
-        second = run_once()
-        a = json.dumps(report, sort_keys=True)
-        b = json.dumps(second.health, sort_keys=True)
-        if a != b:
-            print(
-                "ERROR: replay diverged for the same seed "
-                "(health reports differ)",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print("replay check: second run's health report byte-identical")
-    if args.output:
-        write_chrome_trace(result.trace, args.output)
-        print(f"wrote {args.output}  (load in Perfetto / chrome://tracing)")
-    if args.json:
-        payload = {
-            "scenario": scenario,
-            "scale": scale,
-            "seed": args.seed,
-            "nservers": args.nservers,
-            "elapsed_usec": result.elapsed_usec,
-            "health": report,
-            "violations": violations,
-            "status": status,
-        }
-        write_json_report(args.json, payload)
-        print(f"wrote {args.json}")
-    return status
+    payload = {
+        "scenario": scenario,
+        "scale": scale,
+        "seed": args.seed,
+        "nservers": args.nservers,
+        "elapsed_usec": result.elapsed_usec,
+        "health": report,
+    }
+    return _finish_gate(
+        args, {"run": result}, errors, payload,
+        replay=lambda: (
+            _health_fingerprint(run_once()) == _health_fingerprint(result)
+        ),
+        trace=result.trace,
+    )
 
 
 def _run_sweep_cmd(args) -> int:
@@ -1157,7 +1008,6 @@ def _run_sweep_cmd(args) -> int:
         store = ResultCache(args.cache or default_cache_dir())
     cache = store if store is not None else False
     payload: dict[str, dict] = {}
-    status = 0
     for name in names:
         builder, desc = SWEEPS[name]
         points = builder(args.scale)
@@ -1224,10 +1074,9 @@ def _run_sweep_cmd(args) -> int:
     if args.campaign:
         print(f"appended run records to {args.campaign}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"scale": args.scale, "sweeps": payload}, fh, indent=2)
+        write_json_report(args.json, {"scale": args.scale, "sweeps": payload})
         print(f"wrote {args.json}")
-    return status
+    return 0
 
 
 def _run_bench(args) -> int:
@@ -1534,11 +1383,15 @@ def _report_campaign(args) -> int:
     return 0
 
 
-def _report(scale: int, output: str) -> int:
-    """Run every experiment, capturing the printed tables into markdown."""
+def _report(args) -> int:
+    """``repro report``: run every experiment, capturing the printed
+    tables into markdown (``--campaign``: render the HTML dashboard)."""
     import contextlib
     import io
 
+    if args.campaign:
+        return _report_campaign(args)
+    scale = args.scale
     sections: list[str] = [
         "# HPBD reproduction report",
         "",
@@ -1557,10 +1410,81 @@ def _report(scale: int, output: str) -> int:
         sections.append("```")
         sections.append("")
         print(f"{name} done")
-    with open(output, "w") as fh:
+    with open(args.output, "w") as fh:
         fh.write("\n".join(sections))
-    print(f"wrote {output}")
+    print(f"wrote {args.output}")
     return 0
+
+
+def _run_list(args) -> int:
+    print(format_table(
+        ["experiment", "description"],
+        [[name, desc] for name, (_fn, desc) in EXPERIMENTS.items()],
+    ))
+    return 0
+
+
+def _print_table1(args) -> int:
+    print(render_table1())
+    return 0
+
+
+def _scale(text: str) -> int:
+    """``--scale``: a size divisor, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_scale(p: argparse.ArgumentParser, default: int) -> None:
+    p.add_argument(
+        "--scale", type=_scale, default=default,
+        help=f"size divisor; 1 = full paper sizes (default: {default})",
+    )
+
+
+def _add_gate_flags(
+    p: argparse.ArgumentParser,
+    *,
+    report: str,
+    seed: int | None = None,
+    replay: str | None = None,
+    trace: str | None = None,
+) -> None:
+    """Declare the flags :func:`_finish_gate` reads: ``--json`` (help
+    ``report``), and — when the command takes them — ``--seed`` (default
+    ``seed``), ``--replay-check`` (help ``replay``) and ``-o`` (help
+    ``trace``)."""
+    if seed is not None:
+        p.add_argument("--seed", type=int, default=seed)
+    if replay is not None:
+        p.add_argument("--replay-check", action="store_true", help=replay)
+    if trace is not None:
+        p.add_argument("-o", "--output", metavar="PATH", help=trace)
+    p.add_argument("--json", metavar="PATH", help=report)
+
+
+def _add_engine_flags(p: argparse.ArgumentParser, unit: str) -> None:
+    """The sweep engine's flags, shared by ``sweep`` and ``campaign``;
+    ``unit`` names what ``--force`` re-simulates."""
+    p.add_argument(
+        "--workers", default=None,
+        help="process count, 'auto' = one per CPU (default: "
+        "$REPRO_SWEEP_WORKERS or serial)",
+    )
+    p.add_argument(
+        "--cache", metavar="DIR", default=None,
+        help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
+    )
+    p.add_argument(
+        "--no-cache", action="store_true", help="disable the result cache"
+    )
+    p.add_argument(
+        "--force", action="store_true",
+        help=f"re-simulate every {unit} (still refreshes the cache)",
+    )
+    p.add_argument("--quiet", action="store_true", help="no per-point lines")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1569,12 +1493,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="HPBD (Cluster 2005) reproduction: run paper experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list available experiments")
-    sub.add_parser("table1", help="print the related-work taxonomy")
+    sub.add_parser(
+        "list", help="list available experiments"
+    ).set_defaults(func=_run_list)
+    sub.add_parser(
+        "table1", help="print the related-work taxonomy"
+    ).set_defaults(func=_print_table1)
     rep = sub.add_parser(
         "report", help="run every experiment and write a markdown report"
     )
-    rep.add_argument("--scale", type=int, default=8)
+    rep.set_defaults(func=_report)
+    _add_scale(rep, 8)
     rep.add_argument("-o", "--output", default="REPORT.md")
     rep.add_argument(
         "--campaign", metavar="JSONL", default=None,
@@ -1594,12 +1523,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="run one traced scenario; print the measured §6.2 breakdown "
         "and write a Chrome/Perfetto trace",
     )
+    tr.set_defaults(func=_run_trace)
     tr.add_argument("--device", choices=_TRACE_DEVICES, default="hpbd")
     tr.add_argument("--workload", choices=_TRACE_WORKLOADS, default="quicksort")
-    tr.add_argument(
-        "--scale", type=int, default=32,
-        help="size divisor; 1 = full paper sizes (default: 32)",
-    )
+    _add_scale(tr, 32)
     tr.add_argument(
         "-o", "--output", default="trace.json",
         help="Chrome trace-event JSON path (default: trace.json)",
@@ -1610,32 +1537,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="run one traced scenario; print per-request critical-path "
         "blame, audit invariants (nonzero exit on violations/orphans)",
     )
+    cp.set_defaults(func=_run_critpath)
     cp.add_argument("--device", choices=_TRACE_DEVICES, default="hpbd")
     cp.add_argument("--workload", choices=_TRACE_WORKLOADS, default="quicksort")
-    cp.add_argument(
-        "--scale", type=int, default=32,
-        help="size divisor; 1 = full paper sizes (default: 32)",
-    )
+    _add_scale(cp, 32)
     cp.add_argument(
         "--top", type=int, default=10,
         help="slowest requests to show (default: 10)",
     )
-    cp.add_argument(
-        "-o", "--output", metavar="PATH",
-        help="also write the Chrome trace-event JSON",
-    )
-    cp.add_argument(
-        "--json", metavar="PATH", help="dump the blame report as JSON"
+    _add_gate_flags(
+        cp, trace="also write the Chrome trace-event JSON",
+        report="dump the blame report as JSON",
     )
     fa = sub.add_parser(
         "faults",
         help="crash a memory server mid-run; audit the recovery "
         "machinery and invariant monitors (nonzero exit on violations)",
     )
-    fa.add_argument(
-        "--scale", type=int, default=32,
-        help="size divisor; 1 = full paper sizes (default: 32)",
-    )
+    fa.set_defaults(func=_run_faults)
+    _add_scale(fa, 32)
     fa.add_argument(
         "--crash-at", type=float, default=None,
         help="crash time in simulated us (default: mid-run for --scale)",
@@ -1644,21 +1564,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--timeout", type=float, default=2_000.0,
         help="per-request timeout in us (default: 2000)",
     )
-    fa.add_argument("--seed", type=int, default=1)
     fa.add_argument(
         "--expect-recovery", action="store_true",
         help="fail unless the run actually timed out and failed over",
     )
-    fa.add_argument(
-        "--replay-check", action="store_true",
-        help="run twice; fail if counters or blame diverge",
-    )
-    fa.add_argument(
-        "-o", "--output", metavar="PATH",
-        help="also write the Chrome trace-event JSON",
-    )
-    fa.add_argument(
-        "--json", metavar="PATH", help="dump the fault report as JSON"
+    _add_gate_flags(
+        fa, seed=1, replay="run twice; fail if counters or blame diverge",
+        trace="also write the Chrome trace-event JSON",
+        report="dump the fault report as JSON",
     )
     rd = sub.add_parser(
         "redundancy",
@@ -1666,6 +1579,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "reads and background repair (nonzero exit on violations or "
         "failed recovery gates)",
     )
+    rd.set_defaults(func=_run_redundancy)
     rd.add_argument(
         "--policy", default="rs(4,2)",
         help="redundancy policy: nway(r) or rs(k,m) (default: rs(4,2))",
@@ -1673,7 +1587,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     rd.add_argument(
         "--crashes", type=int, default=1,
         help="staggered mid-run server crashes, at most the policy's "
-        "tolerance m (default: 1)",
+        "tolerance m and at most 2 (default: 1)",
     )
     rd.add_argument(
         "--nservers", type=int, default=8,
@@ -1683,19 +1597,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--throttle-mib-s", type=float, default=400.0,
         help="repair/migration bandwidth cap in MiB/s (default: 400)",
     )
-    rd.add_argument("--seed", type=int, default=42)
     rd.add_argument(
         "--expect-recovery", action="store_true",
         help="fail unless every lost member rebuilt, degraded service "
         "was observed, and repair traffic/overhead are within bounds",
     )
-    rd.add_argument(
-        "--replay-check", action="store_true",
-        help="run twice; fail if the reports diverge",
-    )
-    rd.add_argument(
-        "--json", metavar="PATH",
-        help="dump the redundancy report as JSON",
+    _add_gate_flags(
+        rd, seed=42, replay="run twice; fail if the reports diverge",
+        report="dump the redundancy report as JSON",
     )
     cl = sub.add_parser(
         "cluster",
@@ -1703,10 +1612,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "baseline); print per-tenant report (nonzero exit on "
         "violations or fairness-gate failures)",
     )
-    cl.add_argument(
-        "--scale", type=int, default=64,
-        help="size divisor; 1 = full paper sizes (default: 64)",
-    )
+    cl.set_defaults(func=_run_cluster)
+    _add_scale(cl, 64)
     cl.add_argument(
         "--nservers", type=int, default=2,
         help="memory servers in the fleet (default: 2)",
@@ -1715,7 +1622,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--placement", choices=_PLACEMENT_POLICIES, default="blocking",
         help="placement policy for the fair run (default: blocking)",
     )
-    cl.add_argument("--seed", type=int, default=42)
     cl.add_argument(
         "--max-spread", type=float, default=1.10,
         help="fail if the fair run's completion-time spread exceeds "
@@ -1730,12 +1636,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--skip-baseline", action="store_true",
         help="fair run only; skip the unfair baseline",
     )
-    cl.add_argument(
-        "--replay-check", action="store_true",
-        help="run the fair scenario twice; fail if reports diverge",
-    )
-    cl.add_argument(
-        "--json", metavar="PATH", help="dump the fairness report as JSON"
+    _add_gate_flags(
+        cl, seed=42,
+        replay="run the fair scenario twice; fail if reports diverge",
+        report="dump the fairness report as JSON",
     )
     he = sub.add_parser(
         "health",
@@ -1743,31 +1647,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         "health report (SLO attainment, breach timeline, anomaly "
         "verdicts; nonzero exit on failed health gates)",
     )
-    he.add_argument(
-        "--scale", type=int, default=64,
-        help="size divisor; 1 = full paper sizes (default: 64)",
-    )
+    he.set_defaults(func=_run_health)
+    _add_scale(he, 64)
     he.add_argument(
         "--nservers", type=int, default=3,
         help="memory servers in the fleet (default: 3)",
     )
-    he.add_argument("--seed", type=int, default=42)
     he.add_argument(
         "--latency-mult", type=float, default=20.0,
         help="LinkDegrade latency multiplier on the limping server "
         "(default: 20)",
     )
-    he.add_argument(
+    mode = he.add_mutually_exclusive_group()
+    mode.add_argument(
         "--healthy", action="store_true",
         help="run the fault-free fair scenario instead (gate passes "
         "only when nothing is flagged or breached)",
     )
-    he.add_argument(
+    mode.add_argument(
         "--expect-breach", action="store_true",
         help="invert the gate: fail unless the detector flagged "
         "exactly the degraded server and a latency SLO breach occurred",
     )
-    he.add_argument(
+    mode.add_argument(
         "--mitigate", action="store_true",
         help="limping-server acceptance: run the nway(2) fleet "
         "healthy, fail-slow unmitigated, and fail-slow with hedged "
@@ -1790,50 +1692,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="--mitigate: fail-slow per-op stall in usec (default: 400)",
     )
     he.add_argument(
-        "--replay-check", action="store_true",
-        help="run twice; fail if the health reports are not "
-        "byte-identical",
-    )
-    he.add_argument(
         "--top", type=int, default=10,
         help="breach-timeline edges to print (default: 10)",
     )
-    he.add_argument(
-        "-o", "--output", metavar="PATH",
-        help="also write the Chrome trace-event JSON (runs traced)",
-    )
-    he.add_argument(
-        "--json", metavar="PATH", help="dump the health report as JSON"
+    _add_gate_flags(
+        he, seed=42,
+        replay="run twice; fail if the health reports are not "
+        "byte-identical",
+        trace="also write the Chrome trace-event JSON (runs traced)",
+        report="dump the health report as JSON",
     )
     sw = sub.add_parser(
         "sweep",
         help="run a figure's scenario grid through the parallel sweep "
         "engine with result caching",
     )
+    sw.set_defaults(func=_run_sweep_cmd)
     from .experiments import SWEEPS as _SWEEPS
 
     sw.add_argument("experiment", choices=[*_SWEEPS, "all"])
-    sw.add_argument(
-        "--scale", type=int, default=8,
-        help="size divisor; 1 = full paper sizes (default: 8)",
-    )
-    sw.add_argument(
-        "--workers", default=None,
-        help="process count, 'auto' = one per CPU (default: "
-        "$REPRO_SWEEP_WORKERS or serial)",
-    )
-    sw.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    sw.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    sw.add_argument(
-        "--force", action="store_true",
-        help="re-simulate every point (still refreshes the cache)",
-    )
-    sw.add_argument("--quiet", action="store_true", help="no per-point lines")
+    _add_scale(sw, 8)
+    _add_engine_flags(sw, "point")
     sw.add_argument(
         "--trace", action="store_true",
         help="trace every point; results carry per-request blame "
@@ -1849,15 +1728,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="replicate a sweep grid across seeds into a JSONL campaign "
         "store and print cross-seed aggregates",
     )
+    ca.set_defaults(func=_run_campaign_cmd)
     ca.add_argument("experiment", choices=list(_SWEEPS))
     ca.add_argument(
         "--seeds", default="1,2,3",
         help="comma-separated campaign seeds (default: 1,2,3)",
     )
-    ca.add_argument(
-        "--scale", type=int, default=8,
-        help="size divisor; 1 = full paper sizes (default: 8)",
-    )
+    _add_scale(ca, 8)
     ca.add_argument(
         "--store", metavar="JSONL", default="campaign.jsonl",
         help="campaign store to append to (default: campaign.jsonl)",
@@ -1870,23 +1747,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--limit", type=int, default=None,
         help="cap the number of points after filtering",
     )
-    ca.add_argument(
-        "--workers", default=None,
-        help="process count, 'auto' = one per CPU (default: "
-        "$REPRO_SWEEP_WORKERS or serial)",
-    )
-    ca.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    ca.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    ca.add_argument(
-        "--force", action="store_true",
-        help="re-simulate every replica (still refreshes the cache)",
-    )
-    ca.add_argument("--quiet", action="store_true", help="no per-point lines")
+    _add_engine_flags(ca, "replica")
     ca.add_argument(
         "--ci-level", type=float, default=0.95,
         help="confidence level for the printed aggregates (default: 0.95)",
@@ -1900,6 +1761,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="regression-gate one campaign store against another and/or "
         "against the bench file's campaign floors (exit 1 on regression)",
     )
+    co.set_defaults(func=_run_compare_cmd)
     co.add_argument("base", help="baseline campaign JSONL (or sole store "
                     "when only checking --bench floors)")
     co.add_argument(
@@ -1932,6 +1794,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="measure host-side simulator performance and write "
         "BENCH_simulator.json",
     )
+    be.set_defaults(func=_run_bench)
     be.add_argument(
         "--json", metavar="PATH", default="BENCH_simulator.json",
         help="output path (default: BENCH_simulator.json)",
@@ -1970,83 +1833,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         "profiling even without --profile)",
     )
     run = sub.add_parser("run", help="run one experiment (or 'all')")
+    run.set_defaults(func=_run_experiments)
     run.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
-    run.add_argument(
-        "--scale", type=int, default=8,
-        help="size divisor; 1 = full paper sizes (default: 8)",
-    )
+    _add_scale(run, 8)
     run.add_argument("--json", metavar="PATH", help="dump raw numbers as JSON")
     run.add_argument(
         "--csv", metavar="DIR",
         help="also write plot-ready CSV files into DIR (fig01/03/05/06/07/08)",
     )
     args = parser.parse_args(argv)
-
-    if args.command == "list":
-        print(format_table(
-            ["experiment", "description"],
-            [[name, desc] for name, (_fn, desc) in EXPERIMENTS.items()],
-        ))
-        return 0
-    if args.command == "table1":
-        print(render_table1())
-        return 0
-    if args.command == "report":
-        if args.campaign:
-            return _report_campaign(args)
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _report(args.scale, args.output)
-    if args.command == "trace":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_trace(args)
-    if args.command == "critpath":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_critpath(args)
-    if args.command == "faults":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_faults(args)
-    if args.command == "redundancy":
-        return _run_redundancy(args)
-    if args.command == "cluster":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_cluster(args)
-    if args.command == "health":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_health(args)
-    if args.command == "sweep":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_sweep_cmd(args)
-    if args.command == "campaign":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_campaign_cmd(args)
-    if args.command == "compare":
-        return _run_compare_cmd(args)
-    if args.command == "bench":
-        return _run_bench(args)
-
-    if args.scale < 1:
-        parser.error("--scale must be >= 1")
-    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    payload: dict[str, dict] = {}
-    for name in names:
-        fn, _desc = EXPERIMENTS[name]
-        payload[name] = fn(args.scale)
-        if args.csv:
-            _write_csv(name, args.scale, args.csv)
-        print()
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"scale": args.scale, "results": payload}, fh, indent=2)
-        print(f"wrote {args.json}")
-    return 0
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

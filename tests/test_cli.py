@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.analysis.export import results_to_csv
+from repro.cli import EXPERIMENTS, _finish_gate, main
 
 
 class TestCLI:
@@ -388,3 +391,204 @@ class TestFaultsCommand:
         # The recovery mode is no longer selectable (always nway(2)).
         with pytest.raises(SystemExit):
             main(["faults", "--mode", "sideways"])
+
+
+_VIOLATION = {
+    "t_usec": 12.5, "monitor": "credits", "component": "hpbd0",
+    "message": "credit count went negative",
+}
+
+
+def _stub_run(*violations):
+    return SimpleNamespace(invariant_violations=list(violations))
+
+
+def _gate_args(tmp_path, **overrides):
+    args = dict(replay_check=False, output=None,
+                json=str(tmp_path / "gate.json"))
+    args.update(overrides)
+    return argparse.Namespace(**args)
+
+
+class TestFinishGate:
+    """The shared gate tail, driven with stub runs (no simulation)."""
+
+    def test_clean_run_passes(self, tmp_path, capsys):
+        args = _gate_args(tmp_path)
+        assert _finish_gate(args, {"run": _stub_run()}, [], {"k": 1}) == 0
+        assert "invariant monitors: clean" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "gate.json").read_text())
+        assert payload == {"k": 1, "status": 0, "violations": []}
+
+    @pytest.mark.parametrize("bad", ["healthy", "mitigated"])
+    def test_violation_in_any_named_run_fails(self, tmp_path, capsys, bad):
+        runs = {"healthy": _stub_run(), "mitigated": _stub_run()}
+        runs[bad] = _stub_run(_VIOLATION)
+        assert _finish_gate(_gate_args(tmp_path), runs, [], {}) == 1
+        err = capsys.readouterr().err
+        assert "ERROR: 1 invariant violations:" in err
+        assert f"{bad}: t=12.5 credits [hpbd0]" in err
+        payload = json.loads((tmp_path / "gate.json").read_text())
+        assert payload["violations"] == [_VIOLATION]
+        assert payload["status"] == 1
+
+    def test_command_error_fails(self, tmp_path, capsys):
+        status = _finish_gate(
+            _gate_args(tmp_path), {"run": _stub_run()},
+            ["fair spread 1.20 exceeds --max-spread 1.10"], {},
+        )
+        assert status == 1
+        assert ("ERROR: fair spread 1.20 exceeds --max-spread 1.10"
+                in capsys.readouterr().err)
+
+    def test_failed_replay_fails(self, tmp_path, capsys):
+        calls = []
+
+        def replay():
+            calls.append(1)
+            return False
+
+        args = _gate_args(tmp_path)
+        assert _finish_gate(args, {"run": _stub_run()}, [], {},
+                            replay=replay) == 0
+        assert calls == []  # no --replay-check, no rerun
+        args.replay_check = True
+        assert _finish_gate(args, {"run": _stub_run()}, [], {},
+                            replay=replay) == 1
+        assert calls == [1]
+        assert "replay diverged" in capsys.readouterr().err
+        assert json.loads((tmp_path / "gate.json").read_text())["status"] == 1
+
+    def test_passing_replay(self, tmp_path, capsys):
+        args = _gate_args(tmp_path, replay_check=True)
+        assert _finish_gate(args, {"run": _stub_run()}, [], {},
+                            replay=lambda: True) == 0
+        assert "replay check: second run identical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("errors", [[], ["gate broke"]])
+    def test_json_report_status_and_key_order(self, tmp_path, errors):
+        path = tmp_path / "gate.json"
+        status = _finish_gate(
+            _gate_args(tmp_path), {"run": _stub_run()}, errors,
+            {"zeta": 1, "alpha": {"b": 2, "a": 1}},
+        )
+        text = path.read_text()
+        payload = json.loads(text)
+        assert payload["status"] == status == (1 if errors else 0)
+        assert list(payload) == sorted(payload)
+        assert list(payload["alpha"]) == ["a", "b"]
+        assert text.endswith("\n")
+        assert not (tmp_path / "gate.json.tmp").exists()
+
+    def test_trace_written_only_under_output(self, tmp_path, monkeypatch):
+        import repro.obs
+
+        written = []
+        monkeypatch.setattr(
+            repro.obs, "write_chrome_trace",
+            lambda trace, path: written.append((trace, path)),
+        )
+        trace = object()
+        _finish_gate(_gate_args(tmp_path, json=None), {"run": _stub_run()},
+                     [], {}, trace=trace)
+        assert written == []
+        assert list(tmp_path.iterdir()) == []
+        out = str(tmp_path / "trace.json")
+        _finish_gate(_gate_args(tmp_path, json=None, output=out),
+                     {"run": _stub_run()}, [], {}, trace=trace)
+        assert written == [(trace, out)]
+
+
+class TestGateCommands:
+    def test_redundancy_rs21_gate_passes(self, tmp_path, capsys):
+        out = tmp_path / "redundancy.json"
+        assert main([
+            "redundancy", "--policy", "rs(2,1)", "--expect-recovery",
+            "--replay-check", "--json", str(out),
+        ]) == 0
+        assert "replay check: second run identical" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert payload["status"] == 0
+        assert payload["violations"] == []
+        assert payload["policy"] == "rs(2,1)"
+
+    def test_health_mitigate_gate_fails_when_fault_too_mild(
+        self, tmp_path, capsys
+    ):
+        # At scale 512 the fail-slow server does not slow the unmitigated
+        # run past the gate, so the gate must refuse to certify it.
+        out = tmp_path / "mitigate.json"
+        status = main([
+            "health", "--mitigate", "--scale", "512", "--json", str(out),
+        ])
+        assert status == 1
+        assert ("unmitigated run did not breach the gate"
+                in capsys.readouterr().err)
+        payload = json.loads(out.read_text())
+        assert payload["status"] == 1
+        assert payload["violations"] == []
+
+    @pytest.mark.parametrize("policy,crashes", [
+        ("rs(4,2)", "-1"),
+        ("nway(4)", "3"),  # m=3, but the schedule has two crashes
+        ("rs(4,3)", "3"),
+        ("rs(2,1)", "2"),
+    ])
+    def test_redundancy_rejects_crash_count_before_simulating(
+        self, monkeypatch, capsys, policy, crashes
+    ):
+        import repro.runner
+
+        def no_run(*a, **k):
+            raise AssertionError("simulated despite a bad --crashes")
+
+        monkeypatch.setattr(repro.runner, "run_scenario", no_run)
+        assert main([
+            "redundancy", "--policy", policy, "--crashes", crashes,
+            "--expect-recovery",
+        ]) == 2
+        assert f"--crashes {crashes} outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--mitigate", "--healthy"],
+        ["--mitigate", "--expect-breach"],
+        ["--healthy", "--expect-breach"],
+    ])
+    def test_health_mode_flags_conflict(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["health", *flags])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "fig01"], ["report"], ["trace"], ["critpath"], ["faults"],
+        ["cluster"], ["health"], ["sweep", "fig05"], ["campaign", "fig05"],
+    ])
+    def test_scale_below_one_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--scale", "0"])
+        assert exc.value.code == 2
+        assert "--scale: must be >= 1" in capsys.readouterr().err
+
+
+class TestRunCSVReusesRun:
+    def test_csv_written_from_the_results_already_run(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        import repro.experiments
+
+        real = repro.experiments.run_sweep
+        sweeps = []
+
+        def counting(*args, **kwargs):
+            report = real(*args, **kwargs)
+            sweeps.append(report.results)
+            return report
+
+        monkeypatch.setattr(repro.experiments, "run_sweep", counting)
+        assert main([
+            "run", "fig05", "--scale", "64", "--csv", str(tmp_path),
+        ]) == 0
+        assert len(sweeps) == 1
+        assert ((tmp_path / "fig05.csv").read_bytes()
+                == results_to_csv(sweeps[0]).encode())
